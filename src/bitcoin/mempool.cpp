@@ -61,17 +61,21 @@ Status Mempool::acceptTransactionImpl(const Transaction &Tx,
                        It->second.toHex());
   }
 
-  // Build a view: confirmed UTXO plus outputs of pool transactions.
-  UtxoSet View = Chain.utxo();
-  for (const auto &[PoolId, Entry] : Pool) {
-    for (uint32_t I = 0; I < Entry.Tx.Outputs.size(); ++I)
-      View.add(OutPoint{PoolId, I},
-               Coin{Entry.Tx.Outputs[I], Chain.height() + 1, false});
-    for (const TxIn &In : Entry.Tx.Inputs)
-      if (View.contains(In.Prevout)) {
-        auto Spent = View.spend(In.Prevout);
-        (void)Spent;
-      }
+  // Build a view of just the coins Tx names: the confirmed coin, else
+  // that output of a pool transaction. Pool-spent outpoints need no
+  // removal here — the conflict check above has already rejected them.
+  UtxoSet View;
+  for (const TxIn &In : Tx.Inputs) {
+    if (const Coin *C = Chain.utxo().find(In.Prevout)) {
+      View.add(In.Prevout, *C);
+      continue;
+    }
+    auto Parent = Pool.find(In.Prevout.Tx);
+    if (Parent != Pool.end() &&
+        In.Prevout.Index < Parent->second.Tx.Outputs.size())
+      View.add(In.Prevout,
+               Coin{Parent->second.Tx.Outputs[In.Prevout.Index],
+                    Chain.height() + 1, false});
   }
 
   TC_UNWRAP(Fee, checkTxInputs(Tx, View, Chain.height() + 1,

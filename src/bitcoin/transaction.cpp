@@ -188,20 +188,21 @@ bool TransactionSignatureChecker::checkSignature(const Bytes &SigWithType,
   auto Sig = crypto::Signature::fromDER(Der);
   if (!Sig)
     return false;
-  auto Pub = crypto::PublicKey::parse(PubKey);
-  if (!Pub)
-    return false;
   auto Hash = signatureHash(Tx, InputIndex, ScriptCode, HashType);
   if (!Hash)
     return false;
   // One ECDSA verification per distinct (sighash, key, signature) triple
   // per process: a signature verified at mempool accept is a set lookup
-  // at block connect, revalidate, and reorg replay.
+  // at block connect, revalidate, and reorg replay. The key commits to
+  // the exact public-key bytes, and only a key that parsed and verified
+  // is ever added, so a hit needs no parse (a square root for a
+  // compressed key); every miss parses before it verifies.
   SignatureCache &SC = SignatureCache::instance();
   SignatureCache::Key Key = SC.makeKey(*Hash, PubKey, Der);
   if (SC.contains(Key))
     return true;
-  if (!Pub->verify(*Hash, *Sig))
+  auto Pub = crypto::PublicKey::parse(PubKey);
+  if (!Pub || !Pub->verify(*Hash, *Sig))
     return false;
   SC.add(Key);
   return true;

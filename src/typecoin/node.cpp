@@ -460,6 +460,11 @@ size_t Node::tick(double Now) {
       continue; // Gave up; the pair stays journaled but is not retried.
     if (Now < PC.NextRetryTime)
       continue;
+    // A confirmed carrier waits for registration depth; re-offering it
+    // would only be rejected and spend an attempt the carrier needs if
+    // a reorg later drops it (reorgs do not refill the mempool).
+    if (Chain.confirmations(PC.P.Btc.txid()) >= 1)
+      continue;
     // Re-admission can fail transiently (e.g. inputs held by a
     // conflicting pool entry that a reorg will evict); count the
     // attempt either way so backoff still applies.

@@ -244,9 +244,10 @@ public:
   const RetryPolicy &retryPolicy() const { return Retry; }
 
   /// Resubmit every pending pair whose backoff deadline has passed at
-  /// \p Now (seconds, same clock as block timestamps). Gives up on a
-  /// pair after RetryPolicy::MaxAttempts. Returns how many were
-  /// resubmitted.
+  /// \p Now (seconds, same clock as block timestamps). A pair whose
+  /// carrier is confirmed on the best chain is skipped without using an
+  /// attempt. Gives up on a pair after RetryPolicy::MaxAttempts. Returns
+  /// how many were resubmitted.
   size_t tick(double Now);
 
   /// Unconfirmed journaled pairs awaiting (re)submission.

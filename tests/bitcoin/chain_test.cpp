@@ -316,10 +316,48 @@ TEST(Mempool, ChainedUnconfirmedSpends) {
       *signInput(ToBob, 0, makeP2PKH(Alice.id()), {Alice});
   ASSERT_TRUE(Pool.acceptTransaction(ToBob, Chain).hasValue());
 
+  // A second spend of the pool output ToBob already spends.
+  Transaction ToAliceAgain;
+  ToAliceAgain.Inputs.push_back(TxIn{OutPoint{ToAlice.txid(), 0}, {}});
+  ToAliceAgain.Outputs.push_back(
+      TxOut{Chain.params().Subsidy - 30000, makeP2PKH(Alice.id())});
+  ToAliceAgain.Inputs[0].ScriptSig =
+      *signInput(ToAliceAgain, 0, makeP2PKH(Alice.id()), {Alice});
+  Status Again = Pool.acceptTransaction(ToAliceAgain, Chain);
+  ASSERT_FALSE(Again.hasValue());
+  EXPECT_NE(Again.error().message().find("already spent by pool"),
+            std::string::npos);
+
+  // A spend of an output the pool transaction does not have.
+  Transaction NoSuchOutput;
+  NoSuchOutput.Inputs.push_back(TxIn{OutPoint{ToAlice.txid(), 1}, {}});
+  NoSuchOutput.Outputs.push_back(TxOut{100000, makeP2PKH(Bob.id())});
+  NoSuchOutput.Inputs[0].ScriptSig =
+      *signInput(NoSuchOutput, 0, makeP2PKH(Alice.id()), {Alice});
+  Status Missing = Pool.acceptTransaction(NoSuchOutput, Chain);
+  ASSERT_FALSE(Missing.hasValue());
+  EXPECT_NE(Missing.error().message().find("missing or spent"),
+            std::string::npos);
+
+  // One spend of a confirmed coin and a pool output together.
+  auto Coinbase2 = Chain.blockByHash(*Chain.blockHashAt(2))->Txs[0].txid();
+  Transaction Mixed;
+  Mixed.Inputs.push_back(TxIn{OutPoint{Coinbase2, 0}, {}});
+  Mixed.Inputs.push_back(TxIn{OutPoint{ToBob.txid(), 0}, {}});
+  Mixed.Outputs.push_back(
+      TxOut{2 * Chain.params().Subsidy - 40000, makeP2PKH(Alice.id())});
+  Script MinerSig = *signInput(Mixed, 0, makeP2PKH(Miner.id()), {Miner});
+  Script BobSig = *signInput(Mixed, 1, makeP2PKH(Bob.id()), {Bob});
+  Mixed.Inputs[0].ScriptSig = MinerSig;
+  Mixed.Inputs[1].ScriptSig = BobSig;
+  ASSERT_TRUE(Pool.acceptTransaction(Mixed, Chain).hasValue());
+  EXPECT_EQ(Pool.size(), 3u);
+
   Clock += 600;
   ASSERT_TRUE(mineAndSubmit(Chain, Pool, Miner.id(), Clock).hasValue());
   EXPECT_EQ(Pool.size(), 0u);
   EXPECT_EQ(Chain.confirmations(ToBob.txid()), 1);
+  EXPECT_EQ(Chain.confirmations(Mixed.txid()), 1);
 }
 
 TEST(Pow, CompactRoundTrip) {

@@ -253,4 +253,56 @@ TEST_F(ChaosReorg, MalleatedCarrierRegistersUnderConfirmedTxid) {
   EXPECT_TRUE(analysis::auditState(Node.state()).hasValue());
 }
 
+TEST_F(ChaosReorg, ConfirmedCarrierKeepsItsRetryBudgetThroughAShallowReorg) {
+  // Reorgs do not put transactions back into the mempool, so the retry
+  // queue is the only way a dropped carrier gets back. Ticks while the
+  // carrier sits confirmed but not yet at registration depth must not
+  // re-offer it, or they spend the retry budget the reorg then needs.
+  announce("confirmed-carrier-retry-budget", 0,
+           "depth=6, MaxAttempts=3, 5-block branch from h4");
+  tc::Node Node(tc::Node::defaultParams(), /*RegistrationDepth=*/6);
+  tc::RetryPolicy Policy;
+  Policy.MaxAttempts = 3;
+  Node.setRetryPolicy(Policy);
+  Actor Alice(4005);
+  fund(Node, Alice, 3); // Height 4.
+
+  auto P = buildGrantPair(Alice, "ticket", Alice.pub(), Node.chain());
+  ASSERT_TRUE(P.hasValue()) << P.error().message();
+  ASSERT_TRUE(Node.submitPair(*P).hasValue());
+  std::string Payload = tc::payloadKey(*P);
+  Clock += 600;
+  ASSERT_TRUE(Node.mineBlock(crypto::KeyId{}, Clock).hasValue()); // h5.
+  ASSERT_EQ(Node.chain().confirmations(P->Btc.txid()), 1);
+  for (int H = 6; H <= 8; ++H) {
+    Clock += 600;
+    ASSERT_TRUE(Node.mineBlock(crypto::KeyId{}, Clock).hasValue());
+    EXPECT_EQ(Node.tick(Clock), 0u) << "confirmed carrier re-offered at h"
+                                    << H;
+  }
+  EXPECT_EQ(Node.attemptsOf(Payload), 1);
+  EXPECT_FALSE(Node.isRegistered(Payload));
+
+  // A heavier branch from h4 without the carrier: a reorg above the
+  // scan frontier, so no rebuild requeues anything.
+  auto Fork = Node.chain().blockHashAt(4);
+  ASSERT_TRUE(Fork.has_value());
+  auto Miner = keyFromSeed(45);
+  bitcoin::BlockHash Tip = *Fork;
+  for (int I = 0; I < 5; ++I) {
+    bitcoin::Block Blk =
+        mineOn(Node.chain(), Tip, Miner.id(), Clock + 700 + 600 * I);
+    Tip = Blk.hash();
+    feed(Node, Blk);
+  }
+  ASSERT_EQ(Node.chain().height(), 9);
+  ASSERT_EQ(Node.chain().confirmations(P->Btc.txid()), 0);
+  EXPECT_FALSE(Node.mempool().contains(P->Btc.txid()));
+
+  Clock += 4000;
+  EXPECT_EQ(Node.tick(Clock), 1u);
+  EXPECT_TRUE(Node.mempool().contains(P->Btc.txid()));
+  EXPECT_EQ(Node.attemptsOf(Payload), 2);
+}
+
 } // namespace

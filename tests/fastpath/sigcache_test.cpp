@@ -264,4 +264,44 @@ TEST(SigCacheE2E, TamperedSignatureFailsDespiteWarmCache) {
   EXPECT_FALSE(Fresh.acceptTransaction(Bad, Chain).hasValue());
 }
 
+TEST(SigCacheE2E, HitSkipsKeyParseOnlyForTheCachedKeyBytes) {
+  // The checker parses the public key only on a cache miss. That is
+  // sound because the cache key commits to the exact key bytes: the
+  // same signature under any other encoding misses, parses, and fails.
+  Blockchain Chain(testParams());
+  Mempool Pool;
+  auto Miner = keyFromSeed(1);
+  uint32_t Clock = 0;
+  mineBlocks(Chain, Pool, Miner.id(), 2, Clock);
+  Transaction Spend = spendCoinbase(Chain, 1, Miner, keyFromSeed(2).id());
+  Script Lock = makeP2PKH(Miner.id());
+
+  auto Hash = signatureHash(Spend, 0, Lock, SIGHASH_ALL);
+  ASSERT_TRUE(Hash.hasValue());
+  Bytes Sig = Miner.sign(*Hash).toDER();
+  Sig.push_back(SIGHASH_ALL);
+  Bytes Pub = Miner.publicKey().serialize();
+  TransactionSignatureChecker Checker(Spend, 0, Lock);
+  ASSERT_TRUE(Checker.checkSignature(Sig, Pub)); // Verified, now cached.
+
+  Bytes Flipped = Pub;
+  Flipped[0] ^= 0x01; // 0x02 <-> 0x03: the valid point -P.
+  Bytes NoRoot(33, 0x00);
+  NoRoot[0] = 0x02;
+  NoRoot[32] = 0x05; // x = 5: x^3 + 7 has no square root mod p.
+  ASSERT_FALSE(crypto::PublicKey::parse(NoRoot).hasValue());
+  Bytes BadPrefix = Pub;
+  BadPrefix[0] = 0x05;
+  for (const Bytes &Other : {Flipped, NoRoot, BadPrefix})
+    EXPECT_FALSE(Checker.checkSignature(Sig, Other));
+
+  obs::Counter &Hits = obs::counter("sigcache.hit");
+  obs::Counter &Misses = obs::counter("sigcache.miss");
+  uint64_t Hit0 = Hits.value();
+  uint64_t Miss0 = Misses.value();
+  EXPECT_TRUE(Checker.checkSignature(Sig, Pub));
+  EXPECT_EQ(Hits.value() - Hit0, 1u);
+  EXPECT_EQ(Misses.value() - Miss0, 0u);
+}
+
 } // namespace
