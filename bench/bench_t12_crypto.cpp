@@ -5,12 +5,13 @@
 // transfer pays for:
 //
 //  * field multiplication (pseudo-Mersenne fold vs the Montgomery path
-//    the scalar ring still uses),
+//    the scalar ring still uses) and field squaring,
 //  * scalar multiplication: comb/wNAF table paths against the retained
 //    naive double-and-add ladders,
 //  * doubleMultiply — the exact operation ecdsaVerify computes — table
 //    Straus vs the bitwise Shamir reference,
-//  * ECDSA sign/verify end to end,
+//  * ECDSA sign/verify end to end, and compressed public-key parse
+//    (decompression's fixed square-root chain),
 //  * propDigest / propEqual on a shared-subterm depth-10 proposition
 //    with interning off vs on (O(depth) serialize-and-hash vs O(1)
 //    pointer compare + memo read).
@@ -52,6 +53,19 @@ void BM_FieldMul(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_FieldMul);
+
+void BM_FieldSqr(benchmark::State &State) {
+  // The square-root chain in PublicKey::parse is 253 of these to 13
+  // multiplies, so this row, not BM_FieldMul, sets its cost.
+  const ModArith &Fp = Secp256k1::instance().field();
+  Rng R(7);
+  U256 A = Fp.reduce(randomScalar(R));
+  for (auto _ : State) {
+    A = Fp.montSqr(A);
+    benchmark::DoNotOptimize(A);
+  }
+}
+BENCHMARK(BM_FieldSqr);
 
 void BM_ScalarOrderMul(benchmark::State &State) {
   // The order ring n is not pseudo-Mersenne: this is the Montgomery
@@ -151,6 +165,17 @@ void BM_EcdsaVerify(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_EcdsaVerify);
+
+void BM_PublicKeyParse(benchmark::State &State) {
+  // Compressed-key decode: one field square root. Every Typecoin output
+  // names its owner this way, and a sigcache miss parses the input's key.
+  Rng R(14);
+  Bytes Enc = PrivateKey::generate(R).publicKey().serialize();
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(PublicKey::parse(Enc));
+  }
+}
+BENCHMARK(BM_PublicKeyParse);
 
 /// Depth-10 proposition whose left and right children are the same
 /// node at every level — 2^10 leaves structurally, 11 unique nodes.

@@ -580,6 +580,35 @@ Bytes Secp256k1::serialize(const AffinePoint &P, bool Compressed) const {
   return Out;
 }
 
+/// A^((p+1)/4) on field-internal values: the square root of A when one
+/// exists (p = 3 mod 4). The caller checks the result squares back to A.
+/// (p+1)/4 = 2^254 - 2^30 - 244 is, in binary, runs of 223, 22 and 2
+/// one-bits; libsecp256k1's fixed addition chain builds A^(2^k - 1) for
+/// k = 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223 and slides the runs
+/// into place: 253 squarings and 13 multiplies, where the generic
+/// square-and-multiply ModArith::pow spends 254 and 247.
+static U256 sqrtCandidate(const ModArith &Fp, const U256 &A) {
+  auto SqrN = [&Fp](U256 V, int N) {
+    while (N-- > 0)
+      V = Fp.montSqr(V);
+    return V;
+  };
+  U256 X2 = Fp.montMul(Fp.montSqr(A), A);
+  U256 X3 = Fp.montMul(Fp.montSqr(X2), A);
+  U256 X6 = Fp.montMul(SqrN(X3, 3), X3);
+  U256 X9 = Fp.montMul(SqrN(X6, 3), X3);
+  U256 X11 = Fp.montMul(SqrN(X9, 2), X2);
+  U256 X22 = Fp.montMul(SqrN(X11, 11), X11);
+  U256 X44 = Fp.montMul(SqrN(X22, 22), X22);
+  U256 X88 = Fp.montMul(SqrN(X44, 44), X44);
+  U256 X176 = Fp.montMul(SqrN(X88, 88), X88);
+  U256 X220 = Fp.montMul(SqrN(X176, 44), X44);
+  U256 X223 = Fp.montMul(SqrN(X220, 3), X3);
+  U256 T = Fp.montMul(SqrN(X223, 23), X22);
+  T = Fp.montMul(SqrN(T, 6), X2);
+  return SqrN(T, 2);
+}
+
 Result<AffinePoint> Secp256k1::parse(const Bytes &Data) const {
   if (Data.size() == 65 && Data[0] == 0x04) {
     std::array<uint8_t, 32> XB, YB;
@@ -599,11 +628,7 @@ Result<AffinePoint> Secp256k1::parse(const Bytes &Data) const {
       return makeError("x coordinate out of range");
     // y^2 = x^3 + 7; p = 3 mod 4, so sqrt(a) = a^((p+1)/4).
     U256 Rhs = Fp.add(Fp.mul(Fp.mul(X, X), X), U256(7));
-    U256 Exp = Fp.modulus();
-    Exp.addInPlace(U256::one());
-    Exp.shr1();
-    Exp.shr1();
-    U256 Y = Fp.pow(Rhs, Exp);
+    U256 Y = Fp.fromMont(sqrtCandidate(Fp, Fp.toMont(Rhs)));
     if (Fp.mul(Y, Y) != Rhs)
       return makeError("x coordinate has no square root (not on curve)");
     bool WantOdd = Data[0] == 0x03;

@@ -80,6 +80,7 @@ TEST(Chain, RejectsOverpayingCoinbase) {
   Mempool Pool;
   Block B = assembleBlock(Chain, Pool, keyFromSeed(1).id(), 600);
   B.Txs[0].Outputs[0].Value = Chain.params().Subsidy + 1;
+  B.Txs[0].invalidateCaches();
   B.updateMerkleRoot();
   ASSERT_TRUE(mineBlock(B));
   EXPECT_FALSE(Chain.submitBlock(B).hasValue());

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 using namespace typecoin;
 using namespace typecoin::crypto;
 
@@ -18,6 +21,29 @@ U256 randomScalar(Rng &Rand) {
   for (auto &Limb : Out.Limbs)
     Limb = Rand.next();
   return curve().scalar().reduce(Out);
+}
+
+Bytes compressed(uint8_t Prefix, const U256 &X) {
+  auto XB = X.toBytesBE();
+  Bytes Enc(33);
+  Enc[0] = Prefix;
+  std::copy(XB.begin(), XB.end(), Enc.begin() + 1);
+  return Enc;
+}
+
+/// The decompression reference: a root of x^3 + 7 by the generic
+/// exponentiation pow(x^3 + 7, (p+1)/4), or nullopt when there is none.
+std::optional<U256> referenceRoot(const U256 &X) {
+  const ModArith &Fp = curve().field();
+  U256 Rhs = Fp.add(Fp.mul(Fp.mul(X, X), X), U256(7));
+  U256 Exp = Fp.modulus();
+  Exp.addInPlace(U256::one());
+  Exp.shr1();
+  Exp.shr1();
+  U256 Y = Fp.pow(Rhs, Exp);
+  if (Fp.mul(Y, Y) != Rhs)
+    return std::nullopt;
+  return Y;
 }
 
 TEST(Secp256k1, GeneratorOnCurve) {
@@ -136,15 +162,63 @@ TEST(Secp256k1, ParseRejectsGarbage) {
 }
 
 TEST(Secp256k1, ParseRejectsXNotOnCurve) {
-  // x = 5 has no square root for x^3+7 on secp256k1... verify parse handles
-  // a rejected decompression gracefully either way (no crash, consistent).
-  Bytes Enc(33, 0x00);
-  Enc[0] = 0x02;
-  Enc[32] = 0x05;
-  auto R = curve().parse(Enc);
-  if (R.hasValue()) {
-    EXPECT_TRUE(curve().isOnCurve(*R));
+  // x = 5: 5^3 + 7 = 132 is not a square mod p, so neither prefix
+  // decompresses.
+  for (uint8_t Prefix : {0x02, 0x03})
+    EXPECT_FALSE(curve().parse(compressed(Prefix, U256(5))).hasValue());
+}
+
+TEST(Secp256k1, DecompressMatchesPowReference) {
+  // parse's fixed square-root chain against the generic exponentiation,
+  // over random x under both prefixes: a key is accepted exactly when
+  // x^3 + 7 has a root, and then decodes to that root of the asked parity.
+  const ModArith &Fp = curve().field();
+  Rng Rand(139);
+  int Accepted = 0, Rejected = 0;
+  for (int I = 0; I < 2000; ++I) {
+    U256 X;
+    for (auto &Limb : X.Limbs)
+      Limb = Rand.next();
+    X = Fp.reduce(X);
+    std::optional<U256> Y = referenceRoot(X);
+    ++(Y ? Accepted : Rejected);
+    for (uint8_t Prefix : {0x02, 0x03}) {
+      auto R = curve().parse(compressed(Prefix, X));
+      ASSERT_EQ(R.hasValue(), Y.has_value()) << X.toHex();
+      if (!Y)
+        continue;
+      U256 Want = Y->bit(0) == (Prefix == 0x03) ? *Y : Fp.neg(*Y);
+      EXPECT_EQ(*R, AffinePoint::make(X, Want)) << X.toHex();
+    }
   }
+  // About half of all x have a root; both outcomes must be exercised.
+  EXPECT_GT(Accepted, 800);
+  EXPECT_GT(Rejected, 800);
+}
+
+TEST(Secp256k1, DecompressEdges) {
+  const ModArith &Fp = curve().field();
+  const AffinePoint &G = curve().generator();
+  // G's y is even, so 02 selects G and 03 selects -G.
+  auto Even = curve().parse(compressed(0x02, G.X));
+  ASSERT_TRUE(Even.hasValue());
+  EXPECT_EQ(*Even, G);
+  auto Odd = curve().parse(compressed(0x03, G.X));
+  ASSERT_TRUE(Odd.hasValue());
+  EXPECT_EQ(*Odd, curve().negate(G));
+  // beta * Gx is the x of lambda * G, which shares G's (even) y.
+  auto Endo = curve().parse(compressed(0x02, Fp.mul(curve().endoBeta(), G.X)));
+  ASSERT_TRUE(Endo.hasValue());
+  EXPECT_EQ(*Endo, curve().multiply(curve().endoLambda(), G));
+  // x = 0 and x = p - 1 have no root; x = p is out of range.
+  U256 PMinus1 = Fp.modulus();
+  PMinus1.subInPlace(U256::one());
+  EXPECT_FALSE(referenceRoot(U256::zero()).has_value());
+  EXPECT_FALSE(referenceRoot(PMinus1).has_value());
+  for (const U256 &X : {U256::zero(), PMinus1, Fp.modulus()})
+    for (uint8_t Prefix : {0x02, 0x03})
+      EXPECT_FALSE(curve().parse(compressed(Prefix, X)).hasValue())
+          << X.toHex();
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace typecoin;
 using namespace typecoin::crypto;
 
@@ -96,6 +98,32 @@ TEST(U256, MulWideCommutes) {
     U512 P1 = mulWide(A, B), P2 = mulWide(B, A);
     for (int J = 0; J < 8; ++J)
       EXPECT_EQ(P1.Limbs[J], P2.Limbs[J]);
+  }
+}
+
+TEST(U256, SqrWideMatchesMulWide) {
+  // Carry-heavy edges: all-ones limbs, p - 1, n - 1 and a lone top bit;
+  // then random values, a quarter of whose limbs are all ones.
+  U256 Ones, TopBit;
+  for (auto &Limb : Ones.Limbs)
+    Limb = UINT64_MAX;
+  TopBit.Limbs[3] = 1ull << 63;
+  U256 PMinus1 = fromHexOrDie(PHex), NMinus1 = fromHexOrDie(NHex);
+  PMinus1.subInPlace(U256::one());
+  NMinus1.subInPlace(U256::one());
+  std::vector<U256> Cases = {U256::zero(), U256::one(), Ones,
+                             PMinus1,      NMinus1,     TopBit};
+  Rng Rand(41);
+  for (int I = 0; I < 1000; ++I) {
+    U256 A;
+    for (auto &Limb : A.Limbs)
+      Limb = Rand.nextBelow(4) == 0 ? UINT64_MAX : Rand.next();
+    Cases.push_back(A);
+  }
+  for (const U256 &A : Cases) {
+    U512 Sqr = sqrWide(A), Mul = mulWide(A, A);
+    for (int J = 0; J < 8; ++J)
+      ASSERT_EQ(Sqr.Limbs[J], Mul.Limbs[J]) << A.toHex() << " limb " << J;
   }
 }
 

@@ -82,12 +82,14 @@ void runWorkload(tc::Node &N, bool Ignore) {
   for (const Step &S : workload()) {
     if (S.P) {
       auto St = N.submitPair(*S.P);
-      if (!Ignore)
+      if (!Ignore) {
         ASSERT_TRUE(St.hasValue()) << St.error().message();
+      }
     } else {
       auto St = N.submitBlock(*S.B);
-      if (!Ignore)
+      if (!Ignore) {
         ASSERT_TRUE(St.hasValue()) << St.error().message();
+      }
     }
   }
 }

@@ -24,8 +24,6 @@ using namespace typecoin::chaosutil;
 
 namespace {
 
-Bytes bytesOf(const std::string &S) { return Bytes(S.begin(), S.end()); }
-
 /// A node with a funded issuer, as in the chaos suite.
 class StoreNode : public ::testing::Test {
 protected:
