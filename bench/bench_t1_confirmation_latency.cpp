@@ -7,12 +7,13 @@
 // an access permission."
 //
 // This harness simulates Poisson block arrivals and reports the time to
-// k confirmations for k = 1..6, then benchmarks the simulator itself.
+// k confirmations for k = 1..6, then benchmarks that simulator and one
+// block's relay across a pumped cluster of P2P nodes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bitcoin/netsim.h"
-#include "bitcoin/network.h"
+#include "net/cluster.h"
 
 #include <benchmark/benchmark.h>
 
@@ -68,21 +69,34 @@ void BM_SimulateConfirmations(benchmark::State &State) {
 BENCHMARK(BM_SimulateConfirmations)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_NetworkBlockPropagation(benchmark::State &State) {
-  // Message-level relay: one mined block reaching N fully-meshed nodes.
+  // Wire-level relay: one mined block reaching N fully-meshed NetNodes
+  // (compact announcements over loopback, pumped on a VirtualClock).
+  // Building and tearing down the cluster is not timed.
   size_t N = static_cast<size_t>(State.range(0));
   ChainParams Params;
   Params.CoinbaseMaturity = 1;
+  net::NetConfig Cfg;
+  // No ping traffic: the timed region is the block's relay alone.
+  Cfg.Timers.PingIntervalSec = 1e9;
   Rng Rand(Seed);
   crypto::KeyId Miner = crypto::PrivateKey::generate(Rand).id();
-  double Clock = 600;
   for (auto _ : State) {
     State.PauseTiming();
-    LocalNetwork Net(Params, N);
+    auto C = std::make_unique<net::Cluster>(Params, N, 0, Cfg);
     State.ResumeTiming();
-    auto B = Net.mineAt(0, Miner, Clock);
+    auto B = C->mineAt(0, Miner, 600);
     benchmark::DoNotOptimize(B);
-    size_t Msgs = Net.run();
-    benchmark::DoNotOptimize(Msgs);
+    size_t Rounds = C->settle();
+    benchmark::DoNotOptimize(Rounds);
+    State.PauseTiming();
+    bool Converged = B.hasValue() && C->converged() &&
+                     C->chain(N - 1).height() == 1;
+    C.reset();
+    State.ResumeTiming();
+    if (!Converged) {
+      State.SkipWithError("cluster did not converge on the mined block");
+      break;
+    }
   }
   State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N));
 }

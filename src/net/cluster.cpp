@@ -27,12 +27,11 @@ Cluster::~Cluster() = default;
 
 // --- Chaos surface ------------------------------------------------------
 
-void Cluster::setDefaultFault(const bitcoin::FaultPlan &Plan) {
+void Cluster::setDefaultFault(const FaultPlan &Plan) {
   Chaos->setDefaultFault(Plan);
 }
 
-void Cluster::setLinkFault(size_t From, size_t To,
-                           const bitcoin::FaultPlan &Plan) {
+void Cluster::setLinkFault(size_t From, size_t To, const FaultPlan &Plan) {
   Chaos->setLinkFault(addressOf(From), addressOf(To), Plan);
 }
 
@@ -41,7 +40,7 @@ void Cluster::clearFaults() {
   resyncAll();
 }
 
-void Cluster::setByzantine(size_t Node, const bitcoin::ByzantinePlan &Plan) {
+void Cluster::setByzantine(size_t Node, const ByzantinePlan &Plan) {
   Chaos->setByzantine(addressOf(Node), Plan);
 }
 

@@ -7,17 +7,15 @@
 /// \file
 /// A fully-meshed cluster of \ref NetNode instances over an in-process
 /// \ref LoopbackHub, every link wrapped in a \ref ChaosTransport and
-/// every timer driven by one shared \ref VirtualClock. The surface
-/// mirrors \ref bitcoin::LocalNetwork (setDefaultFault / setLinkFault /
-/// setByzantine / partitionAt / heal / crash / restart / mineAt /
-/// submitTransaction / converged) so the chaos suite's scenarios run
-/// unchanged over the real message-passing stack.
+/// every timer driven by one shared \ref VirtualClock. Chaos scenarios
+/// drive it through one surface: fault plans (setDefaultFault /
+/// setLinkFault / setByzantine), partitionAt / heal, crash / restart,
+/// mineAt / submitTransaction, and converged.
 ///
-/// \ref settle replaces LocalNetwork::run: it pumps every node in index
-/// order until the whole cluster is quiescent, advancing the virtual
-/// clock to the next jitter release whenever a round makes no progress.
-/// With a fixed seed the entire run — every drop, duplicate, and
-/// delivery order — replays identically.
+/// \ref settle pumps every node in index order until the whole cluster
+/// is quiescent, advancing the virtual clock to the next jitter release
+/// whenever a round makes no progress. With a fixed seed the entire run
+/// — every drop, duplicate, and delivery order — replays identically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,14 +50,14 @@ public:
     return "node" + std::to_string(I);
   }
 
-  // --- Chaos surface (LocalNetwork-compatible) --------------------------
+  // --- Chaos surface ----------------------------------------------------
 
-  void setDefaultFault(const bitcoin::FaultPlan &Plan);
-  void setLinkFault(size_t From, size_t To, const bitcoin::FaultPlan &Plan);
+  void setDefaultFault(const FaultPlan &Plan);
+  void setLinkFault(size_t From, size_t To, const FaultPlan &Plan);
   /// Clear all plans and nudge every node to re-sync (lost
   /// announcements do not retransmit themselves).
   void clearFaults();
-  void setByzantine(size_t Node, const bitcoin::ByzantinePlan &Plan);
+  void setByzantine(size_t Node, const ByzantinePlan &Plan);
 
   /// Sever links crossing {nodes < Boundary} vs the rest.
   void partitionAt(size_t Boundary);

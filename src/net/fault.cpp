@@ -2,6 +2,9 @@
 
 #include "net/fault.h"
 
+#include "bitcoin/miner.h"
+#include "crypto/ecdsa.h"
+#include "crypto/secp256k1.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
@@ -11,27 +14,95 @@
 namespace typecoin {
 namespace net {
 
+// --- Plans and byzantine primitives -------------------------------------
+
+std::string FaultPlan::describe() const {
+  if (isClean())
+    return "clean";
+  return "drop=" + std::to_string(Drop) +
+         " dup=" + std::to_string(Duplicate) +
+         " jitter=" + std::to_string(JitterSeconds) + "s";
+}
+
+std::string ByzantinePlan::describe() const {
+  return "invalid-block=" + std::to_string(InvalidBlock) +
+         " malleate-relay=" + std::to_string(MalleateRelay);
+}
+
+std::optional<bitcoin::Transaction>
+malleateTxSignatures(const bitcoin::Transaction &Tx) {
+  const crypto::Secp256k1 &Curve = crypto::Secp256k1::instance();
+  bitcoin::Transaction Out = Tx;
+  bool Malleated = false;
+  for (bitcoin::TxIn &In : Out.Inputs) {
+    auto Elements = In.ScriptSig.decode();
+    if (!Elements)
+      continue;
+    bool Changed = false;
+    bitcoin::Script Rebuilt;
+    for (const bitcoin::Script::Element &E : *Elements) {
+      if (!E.IsPush || E.Push.size() < 9) {
+        if (E.IsPush)
+          Rebuilt.push(E.Push);
+        else
+          Rebuilt.op(static_cast<bitcoin::Opcode>(E.Op));
+        continue;
+      }
+      // A signature push is strict-DER followed by one sighash byte.
+      Bytes Der(E.Push.begin(), E.Push.end() - 1);
+      uint8_t SighashType = E.Push.back();
+      auto Sig = crypto::Signature::fromDER(Der);
+      if (!Sig) {
+        Rebuilt.push(E.Push);
+        continue;
+      }
+      // The malleation of Andrychowicz et al.: (r, s) -> (r, n - s)
+      // verifies identically but serializes differently, changing the
+      // txid without touching what the signature commits to.
+      Sig->S = Curve.scalar().neg(Sig->S);
+      Bytes Twisted = Sig->toDER();
+      Twisted.push_back(SighashType);
+      Rebuilt.push(Twisted);
+      Changed = true;
+    }
+    if (Changed) {
+      In.ScriptSig = Rebuilt;
+      Malleated = true;
+    }
+  }
+  if (!Malleated)
+    return std::nullopt;
+  return Out;
+}
+
+bitcoin::Block byzantineCorruptBlock(bitcoin::Block B) {
+  B.Header.MerkleRoot[0] ^= 0xff;
+  B.Header.Nonce = 0;
+  bitcoin::mineBlock(B);
+  return B;
+}
+
 // --- ChaosState ---------------------------------------------------------
 
-void ChaosState::setDefaultFault(const bitcoin::FaultPlan &Plan) {
+void ChaosState::setDefaultFault(const FaultPlan &Plan) {
   std::lock_guard<std::mutex> Lock(Mu);
   Default = Plan;
 }
 
 void ChaosState::setLinkFault(const std::string &From, const std::string &To,
-                              const bitcoin::FaultPlan &Plan) {
+                              const FaultPlan &Plan) {
   std::lock_guard<std::mutex> Lock(Mu);
   Links[{From, To}] = Plan;
 }
 
 void ChaosState::clearFaults() {
   std::lock_guard<std::mutex> Lock(Mu);
-  Default = bitcoin::FaultPlan();
+  Default = FaultPlan();
   Links.clear();
 }
 
 void ChaosState::setByzantine(const std::string &Addr,
-                              const bitcoin::ByzantinePlan &Plan) {
+                              const ByzantinePlan &Plan) {
   std::lock_guard<std::mutex> Lock(Mu);
   Byzantine[Addr] = Plan;
 }
@@ -46,12 +117,12 @@ void ChaosState::heal() {
   PartitionA.reset();
 }
 
-bitcoin::FaultPlan ChaosState::planFor(const std::string &From,
-                                       const std::string &To) const {
+FaultPlan ChaosState::planFor(const std::string &From,
+                              const std::string &To) const {
   std::lock_guard<std::mutex> Lock(Mu);
   if (PartitionA &&
       (PartitionA->count(From) != 0) != (PartitionA->count(To) != 0)) {
-    bitcoin::FaultPlan Cut;
+    FaultPlan Cut;
     Cut.Drop = 1.0;
     return Cut;
   }
@@ -59,7 +130,7 @@ bitcoin::FaultPlan ChaosState::planFor(const std::string &From,
   return It == Links.end() ? Default : It->second;
 }
 
-std::optional<bitcoin::ByzantinePlan> ChaosState::byzantineFor(
+std::optional<ByzantinePlan> ChaosState::byzantineFor(
     const std::string &Addr) const {
   std::lock_guard<std::mutex> Lock(Mu);
   auto It = Byzantine.find(Addr);
@@ -203,7 +274,7 @@ private:
   /// to each frame. Caller holds Mu.
   void pullInner() {
     while (auto F = Inner->receive()) {
-      bitcoin::FaultPlan Plan = Chaos->planFor(Inner->peerAddress(), Self);
+      FaultPlan Plan = Chaos->planFor(Inner->peerAddress(), Self);
       ChaosMetrics &M = ChaosMetrics::get();
       if (Plan.Drop > 0 && RecvRng.nextBool(Plan.Drop)) {
         M.Dropped.inc();
@@ -241,7 +312,7 @@ private:
   /// with its signature-malleated twin, a block with a Merkle-corrupted
   /// copy, per the plan's probabilities. Anything else passes through.
   /// Caller holds Mu (SendRng).
-  Bytes mangle(const bitcoin::ByzantinePlan &Byz, const Bytes &Frame) {
+  Bytes mangle(const ByzantinePlan &Byz, const Bytes &Frame) {
     FrameDecoder D;
     D.feed(Frame);
     auto R = D.next();
@@ -251,7 +322,7 @@ private:
     ChaosMetrics &CM = ChaosMetrics::get();
     if (auto *TxM = std::get_if<TxMsg>(&M)) {
       if (Byz.MalleateRelay > 0 && SendRng.nextBool(Byz.MalleateRelay)) {
-        if (auto Twisted = bitcoin::malleateTxSignatures(TxM->Tx)) {
+        if (auto Twisted = malleateTxSignatures(TxM->Tx)) {
           CM.Malleated.inc();
           return encodeMessage(TxMsg{std::move(*Twisted)});
         }
@@ -259,8 +330,7 @@ private:
     } else if (auto *BlkM = std::get_if<BlockMsg>(&M)) {
       if (Byz.InvalidBlock > 0 && SendRng.nextBool(Byz.InvalidBlock)) {
         CM.InvalidBlock.inc();
-        return encodeMessage(
-            BlockMsg{bitcoin::byzantineCorruptBlock(BlkM->B)});
+        return encodeMessage(BlockMsg{byzantineCorruptBlock(BlkM->B)});
       }
     }
     return Frame;

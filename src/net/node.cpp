@@ -71,6 +71,8 @@ struct NetMetrics {
   obs::Counter &Penalized = obs::counter("net.ban.penalized");
   obs::Counter &OrphanAdded = obs::counter("net.orphan.added");
   obs::Counter &OrphanEvicted = obs::counter("net.orphan.evicted");
+  obs::Counter &Crashes = obs::counter("net.crash.count");
+  obs::Counter &Restarts = obs::counter("net.restart.count");
 
   static NetMetrics &get() {
     static NetMetrics M;
@@ -523,6 +525,7 @@ void NetNode::peerLoop(std::shared_ptr<Peer> P) {
 
 void NetNode::crash() {
   std::lock_guard<std::mutex> Lock(NodeMu);
+  NetMetrics::get().Crashes.inc();
   Crashed = true;
   for (const auto &E : Peers)
     disconnectLocked(*E.second, "crash");
@@ -538,6 +541,7 @@ Status NetNode::restart() {
   std::lock_guard<std::mutex> Lock(NodeMu);
   if (!Crashed)
     return Status::success();
+  NetMetrics::get().Restarts.inc();
   TC_TRY(Tc->recover());
   Crashed = false;
   return Status::success();
@@ -820,8 +824,10 @@ void NetNode::handleCmpctBlock(Peer &P, const CmpctBlockMsg &M) {
   NetMetrics &Met = NetMetrics::get();
   bitcoin::BlockHash H = M.Header.hash();
   P.Known.insert(invBlock(H));
-  if (Tc->chain().blockByHash(H))
+  if (Tc->chain().blockByHash(H)) {
+    Met.InvDup.inc(); // Already held: a redundant announcement.
     return;
+  }
   size_t Total = M.ShortIds.size() + M.Prefilled.size();
   if (Total == 0 || Total > MaxVectorItems) {
     penalizeLocked(P, 10, "empty/oversized compact block");

@@ -29,10 +29,10 @@
 ///    Clock. The cluster harness (net/cluster.h) drives this mode with
 ///    a VirtualClock for reproducible chaos runs.
 ///
-/// Misbehaviour scoring matches the discrete-event simulator: an
-/// invalid block or a poisoned frame stream costs 100 points and the
-/// ban threshold is 100, so one provably-bad relay disconnects and
-/// bans the sender (by address, refusing future dials).
+/// Misbehaviour scoring: an invalid block or a poisoned frame stream
+/// costs 100 points and the ban threshold is 100, so one provably-bad
+/// relay disconnects and bans the sender (by address, refusing future
+/// dials).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -171,7 +171,7 @@ public:
 
   /// Crash: drop every connection and all volatile state (mempool,
   /// pending queue, orphans). The chain and the pair journal survive,
-  /// exactly like the simulator's persisted store.
+  /// standing in for the on-disk block store and journal.
   void crash();
   bool isCrashed() const { return Crashed; }
   /// Recover volatile state from the surviving chain + journal
@@ -180,8 +180,8 @@ public:
   Status restart();
 
   /// Re-announce our tip and re-request headers on every ready peer —
-  /// the recovery nudge after a partition heals or fault plans clear,
-  /// mirroring LocalNetwork::heal's cross-announcement.
+  /// the recovery nudge after a partition heals or fault plans clear
+  /// (lost announcements never retransmit themselves).
   void resync();
 
   /// Number of orphan blocks parked waiting for parents.

@@ -11,9 +11,8 @@
 ///
 ///  * \ref LoopbackHub — an in-process, mutex-guarded frame switch that
 ///    keeps multi-node tests deterministic and fast;
-///  * the fault-injecting chaos wrappers (net/fault.h), which re-express
-///    the discrete-event simulator's FaultPlan / ByzantinePlan over any
-///    inner transport; and
+///  * the fault-injecting chaos wrappers (net/fault.h), which apply a
+///    FaultPlan / ByzantinePlan over any inner transport; and
 ///  * (future) a real socket transport — nothing in the runtime assumes
 ///    in-process delivery.
 ///

@@ -10,8 +10,9 @@
 #ifndef TYPECOIN_TESTS_CHAOS_CHAOSUTIL_H
 #define TYPECOIN_TESTS_CHAOS_CHAOSUTIL_H
 
-#include "bitcoin/network.h"
+#include "bitcoin/miner.h"
 #include "support/replay.h"
+#include "support/rng.h"
 #include "typecoin/builder.h"
 
 #include <gtest/gtest.h>

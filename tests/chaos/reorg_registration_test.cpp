@@ -13,6 +13,7 @@
 #include "chaosutil.h"
 
 #include "analysis/audit.h"
+#include "net/fault.h"
 
 using namespace typecoin;
 using namespace typecoin::chaosutil;
@@ -228,7 +229,7 @@ TEST_F(ChaosReorg, MalleatedCarrierRegistersUnderConfirmedTxid) {
   std::string Payload = tc::payloadKey(*P);
   std::string OriginalTxid = P->Btc.txid().toHex();
 
-  auto Twin = bitcoin::malleateTxSignatures(P->Btc);
+  auto Twin = net::malleateTxSignatures(P->Btc);
   ASSERT_TRUE(Twin.has_value());
   std::string TwinTxid = Twin->txid().toHex();
   ASSERT_NE(TwinTxid, OriginalTxid);

@@ -1,19 +1,19 @@
-//===- tests/net/chaos_parity_test.cpp - Chaos suite over the real stack --===//
+//===- tests/net/chaos_parity_test.cpp - Chaos scenarios over the wire ----===//
 //
-// The discrete-event simulator's chaos scenarios replayed over the real
-// message-passing runtime: the same FaultPlan / ByzantinePlan semantics
-// re-expressed as a fault-injecting Transport must yield the same
-// outcomes — deterministic replay under a fixed seed, convergence after
-// lossy links heal, idempotent duplicate delivery, reordering absorbed
-// by the orphan pool, invalid-block relayers banned, and crash/restart
-// recovering the chain while losing the mempool.
+// Fault plans applied to the real message-passing runtime through the
+// fault-injecting Transport: deterministic replay under a fixed seed,
+// convergence after lossy links heal, idempotent and accounted
+// duplicate delivery, reordering absorbed by the orphan pool, bounded
+// orphans, invalid-block relayers banned, crash/restart recovering the
+// chain while losing the mempool, and a carrier malleated in flight
+// (Andrychowicz et al.) still registering its payload.
 //
 //===----------------------------------------------------------------------===//
 
-#include "net/cluster.h"
+#include "chaosnet.h"
 
-#include "../chaos/chaosutil.h"
 #include "analysis/audit.h"
+#include "net/fault.h"
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -24,15 +24,9 @@ using namespace typecoin::chaosutil;
 
 namespace {
 
-/// The simulator has no liveness timers, so parity runs disable pings
-/// and the download-stall cutoff: heavy jitter plans would otherwise
-/// trip timeouts that LocalNetwork scenarios cannot express.
-NetConfig quietTimers() {
-  NetConfig Cfg;
-  Cfg.Timers.PingIntervalSec = 1e9;
-  Cfg.Timers.HandshakeTimeoutSec = 1e9;
-  Cfg.Timers.StallTimeoutSec = 1e9;
-  return Cfg;
+uint64_t delta(const obs::Snapshot &Before, const obs::Snapshot &After,
+               const char *Name) {
+  return After.counter(Name) - Before.counter(Name);
 }
 
 /// One run of the fixed mining schedule under \p Plan: final tip of
@@ -46,7 +40,7 @@ struct Outcome {
   }
 };
 
-Outcome runScenario(uint64_t Seed, const bitcoin::FaultPlan &Plan) {
+Outcome runScenario(uint64_t Seed, const FaultPlan &Plan) {
   Cluster C(testParams(), 4, Seed, quietTimers());
   C.setDefaultFault(Plan);
   auto Miner = keyFromSeed(11);
@@ -65,7 +59,7 @@ Outcome runScenario(uint64_t Seed, const bitcoin::FaultPlan &Plan) {
 }
 
 TEST(NetChaosParity, SameSeedSameOutcome) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.Drop = 0.2;
   Plan.Duplicate = 0.2;
   Plan.JitterSeconds = 900;
@@ -81,7 +75,7 @@ TEST(NetChaosParity, SameSeedSameOutcome) {
 
 TEST(NetChaosParity, LossyLinksConvergeAfterHeal) {
   Cluster C(testParams(), 4, 5, quietTimers());
-  bitcoin::FaultPlan Lossy;
+  FaultPlan Lossy;
   Lossy.Drop = 0.4;
   announce("net-lossy-links", 5, Lossy.describe());
   C.setDefaultFault(Lossy);
@@ -105,7 +99,7 @@ TEST(NetChaosParity, LossyLinksConvergeAfterHeal) {
 
 TEST(NetChaosParity, DuplicatedDeliveryIsIdempotent) {
   Cluster C(testParams(), 3, 6, quietTimers());
-  bitcoin::FaultPlan Dup;
+  FaultPlan Dup;
   Dup.Duplicate = 1.0; // Every frame delivered twice.
   C.setDefaultFault(Dup);
   auto Miner = keyFromSeed(13);
@@ -126,13 +120,44 @@ TEST(NetChaosParity, DuplicatedDeliveryIsIdempotent) {
   }
 }
 
+TEST(NetChaosParity, GossipDedupIsAccounted) {
+  // Block gossip must not echo a block back to its sender, and the
+  // duplicate announcements that do arrive (the mesh's crossing relays,
+  // duplicate faults) are counted rather than silently reprocessed.
+  Cluster C(testParams(), 3, 21, quietTimers());
+  auto Miner = keyFromSeed(21);
+  auto Snap0 = obs::Registry::instance().snapshot();
+  ASSERT_TRUE(C.mineAt(0, Miner.id(), 600).hasValue());
+  C.settle();
+  EXPECT_TRUE(C.converged());
+  // Nodes 1 and 2 each relay to the other, which already holds the
+  // block: every such re-announcement hits a known-inventory filter or
+  // lands as a counted duplicate.
+  auto Snap1 = obs::Registry::instance().snapshot();
+  EXPECT_GE(delta(Snap0, Snap1, "net.inv.dedup") +
+                delta(Snap0, Snap1, "net.inv.dup"),
+            2u);
+
+  // Under a duplicate-everything plan the second copy of each
+  // announcement is visible as a counted duplicate.
+  FaultPlan Dup;
+  Dup.Duplicate = 1.0;
+  C.setDefaultFault(Dup);
+  ASSERT_TRUE(C.mineAt(0, Miner.id(), 1200).hasValue());
+  C.settle();
+  EXPECT_TRUE(C.converged());
+  auto Snap2 = obs::Registry::instance().snapshot();
+  EXPECT_GE(delta(Snap1, Snap2, "net.inv.dup"), 2u);
+}
+
 TEST(NetChaosParity, JitterReordersThroughOrphanPool) {
   Cluster C(testParams(), 3, 7, quietTimers());
-  bitcoin::FaultPlan Jitter;
+  FaultPlan Jitter;
   Jitter.JitterSeconds = 5000; // Far larger than the mining cadence:
                                // children routinely land first.
   C.setDefaultFault(Jitter);
   auto Miner = keyFromSeed(14);
+  auto Snap0 = obs::Registry::instance().snapshot();
   double Clock = 0;
   for (int I = 0; I < 6; ++I) {
     Clock += 600;
@@ -143,6 +168,9 @@ TEST(NetChaosParity, JitterReordersThroughOrphanPool) {
   C.settle();
   EXPECT_TRUE(C.converged());
   EXPECT_EQ(C.chain(2).height(), 6);
+  // The reordering really did park children ahead of their parents.
+  auto Snap1 = obs::Registry::instance().snapshot();
+  EXPECT_GT(delta(Snap0, Snap1, "net.orphan.added"), 0u);
 }
 
 TEST(NetChaosParity, OrphanPoolIsBoundedWithOldestFirstEviction) {
@@ -153,15 +181,14 @@ TEST(NetChaosParity, OrphanPoolIsBoundedWithOldestFirstEviction) {
 
   // Lose the first block towards node 1, and silence node 1's return
   // path so its orphan-triggered GetHeaders recovery cannot kick in —
-  // the runtime is better at self-healing than the simulator, and this
-  // scenario is about the pool's bound, not recovery.
-  bitcoin::FaultPlan DropAll;
+  // this scenario is about the pool's bound, not recovery.
+  FaultPlan DropAll;
   DropAll.Drop = 1.0;
   C.setLinkFault(0, 1, DropAll);
   C.setLinkFault(1, 0, DropAll);
   ASSERT_TRUE(C.mineAt(0, Miner.id(), 600).hasValue());
   C.settle();
-  C.setLinkFault(0, 1, bitcoin::FaultPlan());
+  C.setLinkFault(0, 1, FaultPlan());
 
   auto Snap0 = obs::Registry::instance().snapshot();
   for (int I = 0; I < 3; ++I)
@@ -170,9 +197,8 @@ TEST(NetChaosParity, OrphanPoolIsBoundedWithOldestFirstEviction) {
   EXPECT_EQ(C.chain(1).height(), 0);
   EXPECT_LE(C.node(1).orphanCount(), 2u); // Cap held.
   auto Snap1 = obs::Registry::instance().snapshot();
-  EXPECT_GE(Snap1.counter("net.orphan.evicted") -
-                Snap0.counter("net.orphan.evicted"),
-            1u); // Oldest orphan actually evicted.
+  // Oldest orphan actually evicted.
+  EXPECT_GE(delta(Snap0, Snap1, "net.orphan.evicted"), 1u);
 
   // Recovery: lift the faults; the re-sync supplies the missing parent
   // and the evicted orphan again.
@@ -185,12 +211,12 @@ TEST(NetChaosParity, OrphanPoolIsBoundedWithOldestFirstEviction) {
 
 TEST(NetChaosParity, InvalidBlockRelayGetsPeerBanned) {
   // Full-block relay only: the byzantine wrapper corrupts Block frames
-  // in flight, mirroring the simulator's InvalidBlock plan.
+  // in flight (compact announcements carry no body to corrupt).
   NetConfig Base = quietTimers();
   Base.CompactRelay = false;
   Base.Services = 0;
   Cluster C(testParams(), 3, 9, Base);
-  bitcoin::ByzantinePlan Byz;
+  ByzantinePlan Byz;
   Byz.InvalidBlock = 1.0;
   announce("net-byzantine-invalid-block", 9, Byz.describe());
   C.setByzantine(2, Byz);
@@ -215,6 +241,75 @@ TEST(NetChaosParity, InvalidBlockRelayGetsPeerBanned) {
   C.settle();
   EXPECT_TRUE(C.convergedAmong({0, 1}));
   EXPECT_EQ(C.chain(1).height(), 2);
+}
+
+TEST(NetChaosParity, MalleatedSignatureStillVerifiesUnderNewTxid) {
+  // The primitive behind ByzantinePlan::MalleateRelay, after
+  // Andrychowicz et al., "How to deal with malleability of BitCoin
+  // transactions": flipping s -> n - s preserves ECDSA validity but
+  // changes the serialized transaction, hence its txid.
+  auto Key = keyFromSeed(18);
+  bitcoin::Script Lock = bitcoin::makeP2PKH(Key.id());
+
+  bitcoin::Transaction Tx;
+  Tx.Inputs.push_back(bitcoin::TxIn{});
+  Tx.Inputs[0].Prevout.Tx.Hash[0] = 1;
+  Tx.Outputs.push_back(bitcoin::TxOut{5000, bitcoin::makeP2PKH(Key.id())});
+  auto Sig = bitcoin::signInput(Tx, 0, Lock, {Key});
+  ASSERT_TRUE(Sig.hasValue());
+  Tx.Inputs[0].ScriptSig = *Sig;
+
+  auto Twin = malleateTxSignatures(Tx);
+  ASSERT_TRUE(Twin.has_value());
+  EXPECT_FALSE(Twin->txid() == Tx.txid());
+
+  bitcoin::TransactionSignatureChecker Checker(*Twin, 0, Lock);
+  EXPECT_TRUE(bitcoin::verifyScript(Twin->Inputs[0].ScriptSig, Lock, Checker)
+                  .hasValue());
+}
+
+TEST(NetChaosParity, MalleatedCarrierRegistersUnderTwinTxid) {
+  // Node 2 hears node 0's carrier only through byzantine node 1, which
+  // relays its s -> n - s twin: the twin spends the same outpoints with
+  // the same authority under a different txid, and it is the twin that
+  // node 2 mines. Registration is keyed by the Typecoin payload hash,
+  // so node 0 still registers its pair — under the txid that confirmed.
+  Cluster C(testParams(), 3, 31, quietTimers());
+  Actor Alice(7031);
+  ASSERT_TRUE(C.mineAt(0, Alice.id(), 600).hasValue());
+  ASSERT_TRUE(C.mineAt(0, crypto::KeyId{}, 1200).hasValue()); // Maturity.
+  C.settle();
+
+  FaultPlan DropAll;
+  DropAll.Drop = 1.0;
+  ByzantinePlan Byz;
+  Byz.MalleateRelay = 1.0;
+  announce("net-malleated-carrier", 31,
+           "link 0->2 " + DropAll.describe() + "; byzantine(1) " +
+               Byz.describe());
+  C.setLinkFault(0, 2, DropAll);
+  C.setByzantine(1, Byz);
+
+  auto P = buildGrantPair(Alice, "ticket", Alice.pub(), C.chain(0));
+  ASSERT_TRUE(P.hasValue()) << P.error().message();
+  auto Twin = malleateTxSignatures(P->Btc);
+  ASSERT_TRUE(Twin.has_value());
+  ASSERT_TRUE(C.node(0).submitPair(*P).hasValue());
+  C.settle();
+  EXPECT_TRUE(C.mempool(2).contains(Twin->txid()));
+  EXPECT_FALSE(C.mempool(2).contains(P->Btc.txid()));
+
+  ASSERT_TRUE(C.mineAt(2, crypto::KeyId{}, 1800).hasValue());
+  C.settle();
+  EXPECT_TRUE(C.converged());
+
+  const tc::Node &Origin = C.node(0).typecoin();
+  std::string Payload = tc::payloadKey(*P);
+  ASSERT_TRUE(Origin.isRegistered(Payload));
+  EXPECT_EQ(Origin.registrationOf(Payload)->TxidHex, Twin->txid().toHex());
+  // The original (now conflicting) carrier was evicted from the pool.
+  EXPECT_FALSE(C.mempool(0).contains(P->Btc.txid()));
+  EXPECT_EQ(Origin.pendingCount(), 0u);
 }
 
 TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
@@ -247,7 +342,7 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
   }
   // Keep the transaction local to node 1 so the crash genuinely loses
   // it.
-  bitcoin::FaultPlan DropAll;
+  FaultPlan DropAll;
   DropAll.Drop = 1.0;
   C.setDefaultFault(DropAll);
   ASSERT_TRUE(C.submitTransaction(1, Spend).hasValue());
@@ -256,6 +351,7 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
   C.settle();
   EXPECT_EQ(C.mempool(1).size(), 1u);
 
+  auto Snap0 = obs::Registry::instance().snapshot();
   C.crash(1);
   EXPECT_TRUE(C.isCrashed(1));
   // Traffic to a crashed node goes nowhere; the rest keeps mining.
@@ -265,6 +361,9 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
 
   ASSERT_TRUE(C.restart(1).hasValue());
   C.settle();
+  auto Snap1 = obs::Registry::instance().snapshot();
+  EXPECT_EQ(delta(Snap0, Snap1, "net.crash.count"), 1u);
+  EXPECT_EQ(delta(Snap0, Snap1, "net.restart.count"), 1u);
   // The mempool is gone (it was volatile); the chain is rebuilt from
   // the persisted blocks and caught up headers-first on reconnect.
   EXPECT_EQ(C.mempool(1).size(), 0u);

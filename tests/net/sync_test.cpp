@@ -156,7 +156,7 @@ TEST(NetSync, ColdMempoolFallsBackToGetBlockTxn) {
 
   // Keep the transaction local to node 0: gossip is eaten by a total
   // drop plan, then the plan is lifted (announcements never retransmit).
-  bitcoin::FaultPlan DropAll;
+  FaultPlan DropAll;
   DropAll.Drop = 1.0;
   C.setDefaultFault(DropAll);
   bitcoin::Transaction Tx =

@@ -103,7 +103,7 @@ TEST(NetTransport, DestroyEndpointWithPendingInboundDialDoesNotDeadlock) {
 }
 
 /// Deliver N frames over a chaos link; return which arrived (by tag).
-std::vector<uint8_t> chaosDeliver(uint64_t Seed, const bitcoin::FaultPlan &Plan,
+std::vector<uint8_t> chaosDeliver(uint64_t Seed, const FaultPlan &Plan,
                                   int N) {
   LoopbackHub Hub;
   auto Clk = std::make_shared<VirtualClock>();
@@ -131,7 +131,7 @@ std::vector<uint8_t> chaosDeliver(uint64_t Seed, const bitcoin::FaultPlan &Plan,
 }
 
 TEST(NetTransport, ChaosDropIsDeterministicPerSeed) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.Drop = 0.4;
   auto A = chaosDeliver(42, Plan, 50);
   auto B = chaosDeliver(42, Plan, 50);
@@ -142,7 +142,7 @@ TEST(NetTransport, ChaosDropIsDeterministicPerSeed) {
 }
 
 TEST(NetTransport, ChaosDuplicateDeliversTwice) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.Duplicate = 1.0;
   auto Got = chaosDeliver(1, Plan, 5);
   EXPECT_EQ(Got.size(), 10u);
@@ -153,7 +153,7 @@ TEST(NetTransport, ChaosDuplicateDeliversTwice) {
 }
 
 TEST(NetTransport, ChaosJitterReordersButLosesNothing) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.JitterSeconds = 100.0;
   auto Got = chaosDeliver(7, Plan, 30);
   ASSERT_EQ(Got.size(), 30u);
