@@ -2,7 +2,7 @@
 
 #include "analysis/affine.h"
 
-#include <cassert>
+#include "logic/context.h"
 
 namespace typecoin {
 namespace analysis {
@@ -12,10 +12,9 @@ using logic::ProofPtr;
 
 namespace {
 
-/// The structural walker. Scope handling replicates check.cpp's Engine:
-/// a flat environment stack, innermost-name lookup, snapshot/restore/
-/// merge of consumption flags around additive branches, and blocking of
-/// affine entries under `!`.
+/// The structural walker over the checker's own context discipline
+/// (logic/context.h). Each entry remembers where it was first consumed,
+/// for the reuse message.
 class Walker {
 public:
   Walker(LintReport &Out, const AffineAuditOptions &Opts)
@@ -26,26 +25,17 @@ public:
            const std::string &SpanRoot) {
     Path.push_back(SpanRoot);
     for (const std::string &Name : Persistent)
-      bind(Name, /*IsAffine=*/false);
+      Ctx.bind(Name, /*Affine=*/false);
     for (const std::string &Name : Affine)
-      bind(Name, /*IsAffine=*/true);
+      Ctx.bind(Name, /*Affine=*/true);
     walk(M);
-    reportUnused(0, /*TopLevel=*/true);
+    popScope(0, /*TopLevel=*/true);
   }
 
 private:
-  struct Entry {
-    std::string Name;
-    bool Affine = false;
-    bool Consumed = false;
-    bool Blocked = false;
-    /// Where this hypothesis was consumed (for the reuse message).
-    std::string ConsumedAt;
-  };
-
   LintReport &Out;
   const AffineAuditOptions &Opts;
-  std::vector<Entry> Env;
+  logic::AffineContext<std::string> Ctx;
   std::vector<std::string> Path;
   unsigned Depth = 0;
   bool DepthReported = false;
@@ -60,84 +50,48 @@ private:
     return S;
   }
 
-  void bind(const std::string &Name, bool IsAffine) {
-    Entry E;
-    E.Name = Name;
-    E.Affine = IsAffine;
-    Env.push_back(std::move(E));
-  }
-
   /// Leave a scope opened at \p Mark, warning about weakened affine
   /// hypotheses bound inside it.
-  void popScope(size_t Mark) {
-    reportUnused(Mark, /*TopLevel=*/false);
-    Env.resize(Mark);
-  }
-
-  void reportUnused(size_t From, bool TopLevel) {
+  void popScope(size_t Mark, bool TopLevel = false) {
     if (!Opts.WarnUnused)
-      return;
-    for (size_t I = From; I < Env.size(); ++I) {
-      const Entry &E = Env[I];
-      if (E.Affine && !E.Consumed)
-        Out.warn("affine-unused",
-                 "affine hypothesis '" + E.Name + "' is never consumed" +
-                     (TopLevel ? "" : " in its scope") +
-                     " (weakening is legal but usually wasteful)",
-                 span());
-    }
-  }
-
-  std::vector<bool> snapshot() const {
-    std::vector<bool> S;
-    S.reserve(Env.size());
-    for (const Entry &E : Env)
-      S.push_back(E.Consumed);
-    return S;
-  }
-
-  void restore(const std::vector<bool> &S) {
-    assert(S.size() <= Env.size());
-    for (size_t I = 0; I < S.size(); ++I)
-      Env[I].Consumed = S[I];
-  }
-
-  void merge(const std::vector<bool> &A, const std::vector<bool> &B) {
-    for (size_t I = 0; I < Env.size() && I < A.size(); ++I)
-      Env[I].Consumed = A[I] || (I < B.size() && B[I]);
+      return Ctx.exitScope(Mark);
+    Ctx.exitScope(Mark, [&](const auto &E) {
+      Out.warn("affine-unused",
+               "affine hypothesis '" + E.Name + "' is never consumed" +
+                   (TopLevel ? "" : " in its scope") +
+                   " (weakening is legal but usually wasteful)",
+               span());
+    });
   }
 
   void useVar(const std::string &Name) {
-    for (size_t I = Env.size(); I-- > 0;) {
-      Entry &E = Env[I];
-      if (E.Name != Name)
-        continue;
-      if (E.Blocked) {
-        Out.error("affine-banged",
-                  "affine hypothesis '" + Name +
-                      "' is used under '!', where only persistent "
-                      "hypotheses are available",
-                  span());
-        return;
-      }
-      if (E.Affine) {
-        if (E.Consumed) {
-          Out.error("affine-reuse",
-                    "affine hypothesis '" + Name +
-                        "' is consumed a second time (first consumed at " +
-                        E.ConsumedAt +
-                        "); contraction is not available for affine "
-                        "resources",
-                    span());
-          return;
-        }
-        E.Consumed = true;
-        E.ConsumedAt = span();
-      }
+    auto [What, Hyp] = Ctx.use(Name);
+    switch (What) {
+    case logic::Use::Unbound:
+      Out.error("affine-unbound",
+                "proof variable '" + Name + "' is unbound", span());
+      return;
+    case logic::Use::Blocked:
+      Out.error("affine-banged",
+                "affine hypothesis '" + Name +
+                    "' is used under '!', where only persistent "
+                    "hypotheses are available",
+                span());
+      return;
+    case logic::Use::Consumed:
+      Out.error("affine-reuse",
+                "affine hypothesis '" + Name +
+                    "' is consumed a second time (first consumed at " +
+                    Hyp->Data +
+                    "); contraction is not available for affine "
+                    "resources",
+                span());
+      return;
+    case logic::Use::Ok:
+      if (Hyp->Affine)
+        Hyp->Data = span();
       return;
     }
-    Out.error("affine-unbound",
-              "proof variable '" + Name + "' is unbound", span());
   }
 
   /// RAII-free path segment push/pop via explicit helpers keeps the walk
@@ -156,11 +110,11 @@ void Walker::walk(const ProofPtr &M) {
     Out.error("proof-malformed", "null proof subterm", span());
     return;
   }
-  if (++Depth > Opts.MaxDepth) {
+  if (++Depth > MaxTermNesting) {
     if (!DepthReported) {
       DepthReported = true;
       Out.error("proof-depth",
-                "proof nesting exceeds " + std::to_string(Opts.MaxDepth) +
+                "proof nesting exceeds " + std::to_string(MaxTermNesting) +
                     " (the checker rejects such terms)",
                 span());
     }
@@ -182,8 +136,8 @@ void Walker::walk(const ProofPtr &M) {
     return;
 
   case Proof::Tag::Lam: {
-    size_t Mark = Env.size();
-    bind(M->X, /*IsAffine=*/true);
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/true);
     walkAt(M->A, "lam(" + M->X + ")");
     popScope(Mark);
     return;
@@ -201,9 +155,9 @@ void Walker::walk(const ProofPtr &M) {
 
   case Proof::Tag::TensorLet: {
     walkAt(M->A, "let(" + M->X + "," + M->Y + ").of");
-    size_t Mark = Env.size();
-    bind(M->X, true);
-    bind(M->Y, true);
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/true);
+    Ctx.bind(M->Y, /*Affine=*/true);
     walkAt(M->B, "let(" + M->X + "," + M->Y + ").in");
     popScope(Mark);
     return;
@@ -212,13 +166,13 @@ void Walker::walk(const ProofPtr &M) {
   case Proof::Tag::WithPair: {
     // Both components share the affine context; consumption is the
     // union (check.cpp WithPair).
-    std::vector<bool> Before = snapshot();
+    std::vector<bool> Before = Ctx.snapshot();
     walkAt(M->A, "with.l");
-    std::vector<bool> AfterL = snapshot();
-    restore(Before);
+    std::vector<bool> AfterL = Ctx.snapshot();
+    Ctx.restore(Before);
     walkAt(M->B, "with.r");
-    std::vector<bool> AfterR = snapshot();
-    merge(AfterL, AfterR);
+    std::vector<bool> AfterR = Ctx.snapshot();
+    Ctx.merge(AfterL, AfterR);
     return;
   }
 
@@ -238,21 +192,21 @@ void Walker::walk(const ProofPtr &M) {
 
   case Proof::Tag::Case: {
     walkAt(M->A, "case.of");
-    std::vector<bool> Before = snapshot();
+    std::vector<bool> Before = Ctx.snapshot();
 
-    size_t Mark = Env.size();
-    bind(M->X, true);
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/true);
     walkAt(M->B, "case.inl(" + M->X + ")");
     popScope(Mark);
-    std::vector<bool> AfterL = snapshot();
+    std::vector<bool> AfterL = Ctx.snapshot();
 
-    restore(Before);
-    bind(M->Y, true);
+    Ctx.restore(Before);
+    Ctx.bind(M->Y, /*Affine=*/true);
     walkAt(M->C, "case.inr(" + M->Y + ")");
     popScope(Mark);
-    std::vector<bool> AfterR = snapshot();
+    std::vector<bool> AfterR = Ctx.snapshot();
 
-    merge(AfterL, AfterR);
+    Ctx.merge(AfterL, AfterR);
     return;
   }
 
@@ -266,22 +220,16 @@ void Walker::walk(const ProofPtr &M) {
     return;
 
   case Proof::Tag::BangIntro: {
-    std::vector<size_t> Blocked;
-    for (size_t I = 0; I < Env.size(); ++I)
-      if (Env[I].Affine && !Env[I].Blocked) {
-        Env[I].Blocked = true;
-        Blocked.push_back(I);
-      }
+    std::vector<size_t> Blocked = Ctx.block();
     walkAt(M->A, "bang");
-    for (size_t I : Blocked)
-      Env[I].Blocked = false;
+    Ctx.unblock(Blocked);
     return;
   }
 
   case Proof::Tag::BangLet: {
     walkAt(M->A, "banglet(" + M->X + ").of");
-    size_t Mark = Env.size();
-    bind(M->X, /*IsAffine=*/false); // Persistent.
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/false); // Persistent.
     walkAt(M->B, "banglet(" + M->X + ").in");
     popScope(Mark);
     return;
@@ -299,8 +247,8 @@ void Walker::walk(const ProofPtr &M) {
 
   case Proof::Tag::ExUnpack: {
     walkAt(M->A, "unpack(" + M->X + ").of");
-    size_t Mark = Env.size();
-    bind(M->X, true);
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/true);
     walkAt(M->B, "unpack(" + M->X + ").in");
     popScope(Mark);
     return;
@@ -312,8 +260,8 @@ void Walker::walk(const ProofPtr &M) {
 
   case Proof::Tag::SayBind: {
     walkAt(M->A, "saybind(" + M->X + ").of");
-    size_t Mark = Env.size();
-    bind(M->X, true);
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/true);
     walkAt(M->B, "saybind(" + M->X + ").in");
     popScope(Mark);
     return;
@@ -343,8 +291,8 @@ void Walker::walk(const ProofPtr &M) {
 
   case Proof::Tag::IfBind: {
     walkAt(M->A, "ifbind(" + M->X + ").of");
-    size_t Mark = Env.size();
-    bind(M->X, true);
+    size_t Mark = Ctx.mark();
+    Ctx.bind(M->X, /*Affine=*/true);
     walkAt(M->B, "ifbind(" + M->X + ").in");
     popScope(Mark);
     return;

@@ -5,22 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fast, purely structural audit of affine hypothesis usage in proof
-/// terms — the lint pass run *before* the full checker
-/// (`logic/check.cpp`). It performs no type inference and allocates no
-/// propositions; it only tracks binder scopes and consumption flags, so
-/// it is linear in the size of the proof term.
+/// A purely structural audit of affine hypothesis usage in proof terms:
+/// no type inference, linear in the size of the term. It needs no basis
+/// and no upstream state, so `tclint` can run it on a bare transaction.
+/// Scopes use the checker's own context type (`logic/context.h`):
 ///
-/// The audit mirrors the checker's context discipline exactly:
-///
-///   * a proof variable resolves to the innermost binder of that name;
-///     consuming an affine hypothesis twice is a *contraction attempt*
-///     and is reported as an error (`affine-reuse`) — the checker is
-///     guaranteed to reject it,
-///   * the two components of a `&`-pair and the two branches of a `case`
-///     see the same affine context; consumption merges as the union
-///     (matching `check.cpp`), so using one hypothesis in both arms is
-///     *not* a reuse,
+///   * innermost-binder lookup; consuming an affine hypothesis twice is
+///     a *contraction attempt*, reported as an error (`affine-reuse`)
+///     because the checker is guaranteed to reject it,
+///   * the two components of a `&`-pair and the two branches of a
+///     `case` see the same affine context, and consumption merges as the
+///     union, so using one hypothesis in both arms is *not* a reuse,
 ///   * inside `!M` every affine hypothesis is unavailable
 ///     (`affine-banged`),
 ///   * an affine hypothesis that is never consumed is legal weakening
@@ -30,7 +25,9 @@
 /// Because errors are emitted only where the checker must reject,
 /// lint-clean proofs are never rejected by the checker *for an
 /// affine-usage reason* (property-tested in
-/// tests/analysis/lint_property_test.cpp).
+/// tests/analysis/lint_property_test.cpp). Terms nested deeper than
+/// `MaxTermNesting` get one `proof-depth` error, as the checker rejects
+/// them too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +44,6 @@ namespace analysis {
 struct AffineAuditOptions {
   /// Emit `affine-unused` warnings for weakened hypotheses.
   bool WarnUnused = true;
-  /// Maximum proof-term nesting, matching the checker's own guard.
-  unsigned MaxDepth = 100000;
 };
 
 /// Audit \p M, assuming the named hypotheses \p Affine and

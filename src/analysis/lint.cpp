@@ -2,6 +2,8 @@
 
 #include "analysis/lint.h"
 
+#include "bitcoin/standard.h"
+
 #include <set>
 
 namespace typecoin {
@@ -87,13 +89,13 @@ void lintShared(const Transaction &T, const LintOptions &Opts,
   bool Serializable = BodyComplete(T);
   for (const Transaction &F : T.Fallbacks)
     Serializable = Serializable && BodyComplete(F);
-  if (Serializable && Opts.MaxTcBytes != 0) {
+  if (Serializable) {
     size_t Size = T.serialize().size();
-    if (Size > Opts.MaxTcBytes)
+    if (Size > MaxTcBytes)
       Out.warn("tc-oversize",
                "serialized Typecoin transaction is " +
                    std::to_string(Size) + " bytes (advisory cap " +
-                   std::to_string(Opts.MaxTcBytes) + ")");
+                   std::to_string(MaxTcBytes) + ")");
   }
 }
 
@@ -141,67 +143,18 @@ LintReport lint(const Transaction &T, const LintOptions &Opts) {
 LintReport lintScripts(const bitcoin::Transaction &Btc,
                        const LintOptions &Opts) {
   LintReport Out;
-  Severity Policy = policySeverity(Opts);
-
-  if (Btc.serialize().size() > Opts.MaxBtcBytes)
-    Out.add(Policy, "tx-oversize",
-            "Bitcoin transaction exceeds " +
-                std::to_string(Opts.MaxBtcBytes) + " bytes");
-
-  size_t NullDataCount = 0;
-  for (size_t I = 0; I < Btc.Outputs.size(); ++I) {
-    const bitcoin::TxOut &O = Btc.Outputs[I];
-    if (!bitcoin::moneyRange(O.Value))
+  for (size_t I = 0; I < Btc.Outputs.size(); ++I)
+    if (!bitcoin::moneyRange(Btc.Outputs[I].Value))
       Out.error("output-amount", "output value is outside the money range",
                 idx("output", I));
-    bitcoin::SolvedScript Solved = bitcoin::solveScript(O.ScriptPubKey);
-    switch (Solved.Kind) {
-    case bitcoin::TxOutKind::NonStandard:
-      Out.add(Policy, "script-nonstandard",
-              "output script matches no standard template",
-              idx("output", I));
-      break;
-    case bitcoin::TxOutKind::NullData:
-      ++NullDataCount;
-      break;
-    default:
-      if (O.Value < DustThreshold)
-        Out.add(Policy, "output-dust",
-                "output value " + std::to_string(O.Value) +
-                    " is below the dust threshold (" +
-                    std::to_string(DustThreshold) + ")",
-                idx("output", I));
-      break;
-    }
-  }
-  if (NullDataCount > 1)
-    Out.add(Policy, "script-nulldata-count",
-            std::to_string(NullDataCount) +
-                " OP_RETURN outputs (relay policy allows one)");
-
-  for (size_t I = 0; I < Btc.Inputs.size(); ++I) {
-    auto Elems = Btc.Inputs[I].ScriptSig.decode();
-    if (!Elems) {
-      Out.add(Policy, "script-sig-malformed", "scriptSig does not decode",
-              idx("input", I));
-      continue;
-    }
-    if (Btc.isCoinbase())
-      continue;
-    for (const auto &E : *Elems)
-      if (!E.IsPush && !(E.Op >= bitcoin::OP_1 && E.Op <= bitcoin::OP_16) &&
-          E.Op != bitcoin::OP_1NEGATE && E.Op != bitcoin::OP_0) {
-        Out.add(Policy, "script-sig-not-push",
-                "scriptSig is not push-only", idx("input", I));
-        break;
-      }
-  }
+  for (const bitcoin::PolicyViolation &V : bitcoin::policyViolations(Btc))
+    Out.add(policySeverity(Opts), V.Code, V.Message,
+            V.Where ? idx(V.Where, V.Index) : "");
   return Out;
 }
 
 LintReport lintEmbedding(const Transaction &T,
-                         const bitcoin::Transaction &Btc,
-                         const LintOptions &) {
+                         const bitcoin::Transaction &Btc) {
   LintReport Out;
   auto Embedded = tc::extractMetadata(Btc);
   if (!Embedded) {
@@ -211,13 +164,6 @@ LintReport lintEmbedding(const Transaction &T,
               "carrier)");
     return Out;
   }
-  // Round-trip shape: the carried hash must survive re-encoding as a
-  // pubkey-shaped metadata blob.
-  if (auto Back = tc::metadataFromKey(tc::metadataAsKey(*Embedded));
-      !Back || *Back != *Embedded)
-    Out.error("embed-roundtrip",
-              "embedded metadata does not round-trip through the "
-              "pubkey-shaped encoding");
   if (*Embedded != T.hash()) {
     Out.error("embed-mismatch",
               "embedded hash does not match the Typecoin transaction "
@@ -232,14 +178,14 @@ LintReport lintEmbedding(const Transaction &T,
 LintReport lint(const tc::Pair &P, const LintOptions &Opts) {
   LintReport Out = lint(P.Tc, Opts);
   Out.merge(lintScripts(P.Btc, Opts), "btc");
-  Out.merge(lintEmbedding(P.Tc, P.Btc, Opts));
+  Out.merge(lintEmbedding(P.Tc, P.Btc));
   return Out;
 }
 
-/// Shared gate core: reject when shared structure is broken, or when the
-/// primary and every fallback carry per-alternative errors.
-static Status gateAlternatives(const Transaction &T,
-                               const LintOptions &Opts) {
+Status lintGate(const Transaction &T, const LintOptions &Opts) {
+  LintReport Shared;
+  lintShared(T, Opts, Shared);
+  TC_TRY(Shared.toStatus());
   LintReport Primary;
   lintAlternative(T, Opts, Primary, "");
   if (!Primary.hasErrors())
@@ -252,22 +198,6 @@ static Status gateAlternatives(const Transaction &T,
   }
   return makeError("lint: primary and every fallback fail pre-validation: " +
                    Primary.firstAtLeast(Severity::Error)->str());
-}
-
-Status lintGate(const Transaction &T, const LintOptions &Opts) {
-  LintReport Shared;
-  lintShared(T, Opts, Shared);
-  TC_TRY(Shared.toStatus());
-  return gateAlternatives(T, Opts);
-}
-
-Status lintGate(const tc::Pair &P, const LintOptions &Opts) {
-  LintReport Shared;
-  lintShared(P.Tc, Opts, Shared);
-  Shared.merge(lintScripts(P.Btc, Opts), "btc");
-  Shared.merge(lintEmbedding(P.Tc, P.Btc, Opts));
-  TC_TRY(Shared.toStatus());
-  return gateAlternatives(P.Tc, Opts);
 }
 
 } // namespace analysis

@@ -5,26 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `tclint`: a fast, allocation-light pre-validation pass over Typecoin
-/// transactions and their carrying Bitcoin transactions, run *before*
-/// the full LF/logic checker. Three families of diagnostics:
+/// `tclint`: every finding, located, over Typecoin transactions and
+/// their carrying Bitcoin transactions, each family rendered from the one
+/// implementation of its rule:
 ///
-///   1. **Affine usage** (analysis/affine.h): duplicate consumption,
-///      never-consumed hypotheses, usage under `!`, unbound variables —
-///      on the primary proof and every fallback proof.
-///   2. **Script standardness**, mirroring the relay policy of
-///      `bitcoin/standard.cpp` but reporting *every* violation with its
-///      output/input index instead of stopping at the first.
-///   3. **Metadata embedding** well-formedness (`typecoin/embed.cpp`):
-///      the carried hash must extract, round-trip, and match, the
-///      input/output prefixes must correspond, and size limits hold.
+///   1. **Transaction structure and affine usage**: inputs, amounts,
+///      fallback compatibility (Section 5), and the affine audit
+///      (analysis/affine.h) of the primary and every fallback proof.
+///   2. **Script standardness**: every `bitcoin::policyViolations`
+///      finding; the mempool rejects on the first of the same list.
+///   3. **Metadata embedding** (`typecoin/embed.cpp`): the carried hash
+///      must extract and match, and `tc::checkCorrespondence` must hold.
 ///
 /// Severity contract: an `Error` diagnostic is emitted only where the
 /// full pipeline (proof checker, correspondence check, or relay policy)
 /// is guaranteed to reject; everything merely suspicious is a
-/// `Warning`. This is what makes `lint` usable as a cheap reject-early
-/// gate (\ref lintGate) in `typecoin/node.cpp` and
-/// `services/batchserver.cpp`.
+/// `Warning`. `tc::Node::submitPair` runs no lint; which of its stages
+/// rejects each error is pinned by tests/analysis/submit_contract_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,14 +34,13 @@
 namespace typecoin {
 namespace analysis {
 
+/// Advisory cap on the serialized Typecoin transaction (bytes). It
+/// travels out-of-band, and oversized proofs are a denial-of-service
+/// vector.
+constexpr size_t MaxTcBytes = 1 << 20;
+
 /// Lint knobs.
 struct LintOptions {
-  /// Relay size cap for the carrying Bitcoin transaction (bytes),
-  /// mirroring bitcoin/standard.cpp.
-  size_t MaxBtcBytes = 100000;
-  /// Advisory cap on the serialized Typecoin transaction (it travels
-  /// out-of-band; oversized proofs are a denial-of-service vector).
-  size_t MaxTcBytes = 1 << 20;
   /// Enforce script standardness (matches MempoolPolicy::RequireStandard;
   /// when false, script findings are downgraded to warnings).
   bool RequireStandard = true;
@@ -57,32 +53,29 @@ struct LintOptions {
 LintReport lint(const tc::Transaction &T,
                 const LintOptions &Opts = LintOptions());
 
-/// Lint a carrying Bitcoin transaction's relay standardness, reporting
-/// all violations (size, per-output script shape, dust, OP_RETURN count,
-/// per-input push-only discipline).
+/// Lint a carrying Bitcoin transaction: output values outside the money
+/// range, and every relay-standardness violation (size, per-output
+/// script shape, dust, OP_RETURN count, per-input push-only
+/// discipline).
 LintReport lintScripts(const bitcoin::Transaction &Btc,
                        const LintOptions &Opts = LintOptions());
 
-/// Lint the metadata embedding of a coupled pair: hash extraction,
-/// round-trip shape, hash match, and structural correspondence.
+/// Lint the metadata embedding of a coupled pair: hash extraction, hash
+/// match, and structural correspondence.
 LintReport lintEmbedding(const tc::Transaction &T,
-                         const bitcoin::Transaction &Btc,
-                         const LintOptions &Opts = LintOptions());
+                         const bitcoin::Transaction &Btc);
 
 /// Lint a coupled pair end-to-end: transaction + scripts + embedding.
 LintReport lint(const tc::Pair &P, const LintOptions &Opts = LintOptions());
 
-/// The reject-early gate wired into Node::submitPair and
-/// BatchServer::recordWriteThrough. Rejects when the lint proves the
-/// pair can never be accepted: any shared-structure error (inputs,
-/// amounts, scripts, embedding — identical across fallbacks by the
+/// The batch server's triage before it builds a carrier
+/// (BatchServer::recordWriteThrough). Rejects when the lint proves the
+/// transaction can never be accepted: any shared-structure error
+/// (inputs, amounts, fallback shape — identical across fallbacks by the
 /// Section 5 compatibility rules), or proof-class errors in the primary
 /// *and every* fallback (an invalid primary with a valid fallback is
-/// still relayable, Section 5).
-Status lintGate(const tc::Pair &P, const LintOptions &Opts = LintOptions());
-
-/// Gate for a bare Typecoin transaction (the batch-server write-through
-/// path, before the Bitcoin carrier exists).
+/// still relayable, Section 5). Such a rejection is permanent, which
+/// lets the server fail it at once instead of deferring it.
 Status lintGate(const tc::Transaction &T,
                 const LintOptions &Opts = LintOptions());
 

@@ -69,10 +69,6 @@ public:
   /// announced short ids against this). Null when absent.
   const Transaction *get(const TxId &Id) const;
 
-  /// The relay policy in force (read by the lint gate so its
-  /// standardness severity matches what this pool will enforce).
-  const MempoolPolicy &policy() const { return Policy; }
-
 private:
   /// Admission logic proper; the public entry point wraps it with obs
   /// accounting (accept counters, size gauge, latency probe).

@@ -105,37 +105,60 @@ Script makeNullData(const Bytes &Data) {
   return S;
 }
 
-Status checkStandard(const Transaction &Tx) {
-  Bytes Ser = Tx.serialize();
-  if (Ser.size() > 100000)
-    return makeError("standardness: transaction exceeds 100kB");
+std::vector<PolicyViolation> policyViolations(const Transaction &Tx) {
+  std::vector<PolicyViolation> Out;
+  // Locate and describe one violation; only the violating path pays for
+  // the message.
+  auto Add = [&Out](const char *Code, const char *Where, size_t I,
+                    const std::string &What) {
+    Out.push_back({Code, Where, I,
+                   Where ? std::string(Where) + " " + std::to_string(I) +
+                               " " + What
+                         : What});
+  };
+  if (Tx.serialize().size() > MaxStandardTxBytes)
+    Add("tx-oversize", nullptr, 0,
+        "transaction exceeds " + std::to_string(MaxStandardTxBytes) +
+            " bytes");
   size_t NullDataCount = 0;
   for (size_t I = 0; I < Tx.Outputs.size(); ++I) {
-    const TxOut &Out = Tx.Outputs[I];
-    SolvedScript Solved = solveScript(Out.ScriptPubKey);
+    const TxOut &O = Tx.Outputs[I];
+    SolvedScript Solved = solveScript(O.ScriptPubKey);
     if (Solved.Kind == TxOutKind::NonStandard)
-      return makeError("standardness: output " + std::to_string(I) +
-                       " has a non-standard script");
-    if (Solved.Kind == TxOutKind::NullData) {
+      Add("script-nonstandard", "output", I, "has a non-standard script");
+    else if (Solved.Kind == TxOutKind::NullData)
       ++NullDataCount;
-      continue;
-    }
-    if (Out.Value < DustThreshold)
-      return makeError("standardness: output " + std::to_string(I) +
-                       " is dust");
+    else if (O.Value < DustThreshold)
+      Add("output-dust", "output", I,
+          "is dust (" + std::to_string(O.Value) + " < " +
+              std::to_string(DustThreshold) + ")");
   }
   if (NullDataCount > 1)
-    return makeError("standardness: more than one OP_RETURN output");
+    Add("script-nulldata-count", nullptr, 0,
+        std::to_string(NullDataCount) +
+            " OP_RETURN outputs (the policy allows one)");
   for (size_t I = 0; I < Tx.Inputs.size(); ++I) {
     auto Elems = Tx.Inputs[I].ScriptSig.decode();
-    if (!Elems)
-      return makeError("standardness: malformed scriptSig");
-    if (!Tx.isCoinbase())
-      for (const auto &E : *Elems)
-        if (!E.IsPush && !(E.Op >= OP_1 && E.Op <= OP_16) &&
-            E.Op != OP_1NEGATE && E.Op != OP_0)
-          return makeError("standardness: scriptSig is not push-only");
+    if (!Elems) {
+      Add("script-sig-malformed", "input", I, "has a malformed scriptSig");
+      continue;
+    }
+    if (Tx.isCoinbase())
+      continue;
+    for (const auto &E : *Elems)
+      if (!E.IsPush && !(E.Op >= OP_1 && E.Op <= OP_16) &&
+          E.Op != OP_1NEGATE && E.Op != OP_0) {
+        Add("script-sig-not-push", "input", I, "scriptSig is not push-only");
+        break;
+      }
   }
+  return Out;
+}
+
+Status checkStandard(const Transaction &Tx) {
+  std::vector<PolicyViolation> Violations = policyViolations(Tx);
+  if (!Violations.empty())
+    return makeError("standardness: " + Violations.front().Message);
   return Status::success();
 }
 

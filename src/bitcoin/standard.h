@@ -56,8 +56,24 @@ Script makeMultiSig(int M, const std::vector<Bytes> &Keys);
 /// OP_RETURN data carrier.
 Script makeNullData(const Bytes &Data);
 
-/// Relay standardness for a whole transaction: size cap, standard output
-/// scripts, push-only input scripts, non-dust outputs (NullData exempt).
+/// Relay size cap for one transaction (bytes).
+constexpr size_t MaxStandardTxBytes = 100000;
+
+/// One way a transaction breaks the relay policy.
+struct PolicyViolation {
+  const char *Code;  ///< Stable rule name, e.g. "script-nonstandard".
+  const char *Where; ///< "output", "input", or null for the whole tx.
+  size_t Index;      ///< The output or input it concerns.
+  std::string Message;
+};
+
+/// Every relay-standardness violation of \p Tx, in order: size cap,
+/// output scripts and dust (OP_RETURN exempt), the OP_RETURN count,
+/// then push-only input scripts. Empty when \p Tx is standard.
+std::vector<PolicyViolation> policyViolations(const Transaction &Tx);
+
+/// Relay standardness for a whole transaction: fails with the first of
+/// \ref policyViolations.
 Status checkStandard(const Transaction &Tx);
 
 /// Sign input \p InputIndex of \p Tx, spending \p Prevout locked by

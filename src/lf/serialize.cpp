@@ -91,6 +91,8 @@ void writeTerm(Writer &W, const TermPtr &T) {
 // term/type lands in the hash-consing arena — decoding the same wire
 // bytes twice (or in two different streams) yields pointer-equal trees.
 Result<TermPtr> readTerm(Reader &R) {
+  Reader::Nest Level(R);
+  TC_TRY(Level.check());
   TC_UNWRAP(Tag, R.readU8());
   switch (static_cast<Term::Tag>(Tag)) {
   case Term::Tag::Var: {
@@ -159,6 +161,8 @@ void writeType(Writer &W, const LFTypePtr &T) {
 }
 
 Result<LFTypePtr> readType(Reader &R) {
+  Reader::Nest Level(R);
+  TC_TRY(Level.check());
   TC_UNWRAP(Tag, R.readU8());
   switch (static_cast<LFType::Tag>(Tag)) {
   case LFType::Tag::Const: {
@@ -188,6 +192,8 @@ void writeKind(Writer &W, const KindPtr &K) {
 }
 
 Result<KindPtr> readKind(Reader &R) {
+  Reader::Nest Level(R);
+  TC_TRY(Level.check());
   TC_UNWRAP(Tag, R.readU8());
   switch (static_cast<Kind::Tag>(Tag)) {
   case Kind::Tag::Type:

@@ -2,7 +2,7 @@
 
 #include "logic/check.h"
 
-#include <cassert>
+#include "logic/context.h"
 
 namespace typecoin {
 namespace logic {
@@ -24,22 +24,14 @@ public:
     for (const Hypothesis &H : Affine)
       bind(H.Name, H.P, /*IsPersistent=*/false);
     TC_UNWRAP(Out, infer(M));
-    if (Opts.StrictLinear) {
-      for (const Entry &E : Env)
-        if (!E.Persistent && !E.Consumed)
-          return makeError("linear: hypothesis " + E.Name +
-                           " was never consumed");
-    }
+    TC_TRY(popScope(0));
     return Out;
   }
 
 private:
-  struct Entry {
-    std::string Name;
+  /// A hypothesis's proposition and the LF depth it was bound at.
+  struct Bound {
     PropPtr P;
-    bool Persistent = false;
-    bool Consumed = false;
-    bool Blocked = false; ///< Unavailable inside a ! body.
     unsigned PsiDepth = 0;
   };
 
@@ -47,75 +39,46 @@ private:
   const AffirmationVerifier &Affirm;
   CheckOptions Opts;
   lf::Context Psi;
-  std::vector<Entry> Env;
+  AffineContext<Bound> Ctx;
   unsigned Depth = 0;
 
   void bind(const std::string &Name, const PropPtr &P, bool IsPersistent) {
-    Entry E;
-    E.Name = Name;
-    E.P = P;
-    E.Persistent = IsPersistent;
-    E.PsiDepth = static_cast<unsigned>(Psi.size());
-    Env.push_back(std::move(E));
+    Ctx.bind(Name, !IsPersistent,
+             Bound{P, static_cast<unsigned>(Psi.size())});
   }
 
   /// Leave a binder scope opened at \p Mark, enforcing linearity if
   /// requested.
   Status popScope(size_t Mark) {
     Status Out = Status::success();
-    if (Opts.StrictLinear) {
-      for (size_t I = Mark; I < Env.size(); ++I)
-        if (!Env[I].Persistent && !Env[I].Consumed) {
-          Out = makeError("linear: hypothesis " + Env[I].Name +
+    if (!Opts.StrictLinear)
+      Ctx.exitScope(Mark);
+    else
+      Ctx.exitScope(Mark, [&Out](const auto &E) {
+        if (Out)
+          Out = makeError("linear: hypothesis " + E.Name +
                           " was never consumed");
-          break;
-        }
-    }
-    Env.resize(Mark);
+      });
     return Out;
-  }
-
-  std::vector<bool> snapshotConsumption() const {
-    std::vector<bool> Out;
-    Out.reserve(Env.size());
-    for (const Entry &E : Env)
-      Out.push_back(E.Consumed);
-    return Out;
-  }
-
-  void restoreConsumption(const std::vector<bool> &Snap) {
-    assert(Snap.size() <= Env.size());
-    for (size_t I = 0; I < Snap.size(); ++I)
-      Env[I].Consumed = Snap[I];
-  }
-
-  /// Merge: consumed in either branch counts as consumed (sound for the
-  /// additive connectives; see DESIGN.md ablation 2).
-  void mergeConsumption(const std::vector<bool> &BranchA,
-                        const std::vector<bool> &BranchB) {
-    for (size_t I = 0; I < Env.size() && I < BranchA.size(); ++I)
-      Env[I].Consumed = BranchA[I] || BranchB[I];
   }
 
   Result<PropPtr> lookupVar(const std::string &Name) {
-    for (size_t I = Env.size(); I-- > 0;) {
-      Entry &E = Env[I];
-      if (E.Name != Name)
-        continue;
-      if (E.Blocked)
-        return makeError("check: affine hypothesis " + Name +
-                         " is not available under !");
-      if (!E.Persistent) {
-        if (E.Consumed)
-          return makeError("check: affine hypothesis " + Name +
-                           " is already consumed");
-        E.Consumed = true;
-      }
-      int Delta = static_cast<int>(Psi.size()) -
-                  static_cast<int>(E.PsiDepth);
-      return shiftProp(E.P, Delta);
+    auto [What, Hyp] = Ctx.use(Name);
+    switch (What) {
+    case Use::Unbound:
+      return makeError("check: unbound proof variable " + Name);
+    case Use::Blocked:
+      return makeError("check: affine hypothesis " + Name +
+                       " is not available under !");
+    case Use::Consumed:
+      return makeError("check: affine hypothesis " + Name +
+                       " is already consumed");
+    case Use::Ok:
+      break;
     }
-    return makeError("check: unbound proof variable " + Name);
+    int Delta = static_cast<int>(Psi.size()) -
+                static_cast<int>(Hyp->Data.PsiDepth);
+    return shiftProp(Hyp->Data.P, Delta);
   }
 
   Status checkAgainst(const ProofPtr &M, const PropPtr &Goal) {
@@ -130,7 +93,7 @@ private:
 };
 
 Result<PropPtr> Engine::infer(const ProofPtr &M) {
-  if (++Depth > 100000)
+  if (++Depth > MaxTermNesting)
     return makeError("check: proof nesting too deep");
   struct DepthGuard {
     unsigned &D;
@@ -153,7 +116,7 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
 
   case Proof::Tag::Lam: {
     TC_TRY(checkProp(Sigma.lfSig(), Psi, M->Annot));
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, M->Annot, /*IsPersistent=*/false);
     TC_UNWRAP(BodyType, infer(M->A));
     TC_TRY(popScope(Mark));
@@ -180,7 +143,7 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
     if (OfType->Kind != Prop::Tag::Tensor)
       return makeError("check: tensor-let on non-tensor type " +
                        printProp(OfType));
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, OfType->L, false);
     bind(M->Y, OfType->R, false);
     TC_UNWRAP(BodyType, infer(M->B));
@@ -192,13 +155,13 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
     // Both components see the same affine context; consumption is the
     // union (only one will ever be used, and the pair as a whole claims
     // everything either needs).
-    std::vector<bool> Before = snapshotConsumption();
+    std::vector<bool> Before = Ctx.snapshot();
     TC_UNWRAP(L, infer(M->A));
-    std::vector<bool> AfterL = snapshotConsumption();
-    restoreConsumption(Before);
+    std::vector<bool> AfterL = Ctx.snapshot();
+    Ctx.restore(Before);
     TC_UNWRAP(R, infer(M->B));
-    std::vector<bool> AfterR = snapshotConsumption();
-    mergeConsumption(AfterL, AfterR);
+    std::vector<bool> AfterR = Ctx.snapshot();
+    Ctx.merge(AfterL, AfterR);
     return pWith(L, R);
   }
 
@@ -226,21 +189,21 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
     TC_UNWRAP(OfType, infer(M->A));
     if (OfType->Kind != Prop::Tag::Plus)
       return makeError("check: case on non-(+) type " + printProp(OfType));
-    std::vector<bool> Before = snapshotConsumption();
+    std::vector<bool> Before = Ctx.snapshot();
 
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, OfType->L, false);
     TC_UNWRAP(LeftType, infer(M->B));
     TC_TRY(popScope(Mark));
-    std::vector<bool> AfterL = snapshotConsumption();
+    std::vector<bool> AfterL = Ctx.snapshot();
 
-    restoreConsumption(Before);
+    Ctx.restore(Before);
     bind(M->Y, OfType->R, false);
     TC_UNWRAP(RightType, infer(M->C));
     TC_TRY(popScope(Mark));
-    std::vector<bool> AfterR = snapshotConsumption();
+    std::vector<bool> AfterR = Ctx.snapshot();
 
-    mergeConsumption(AfterL, AfterR);
+    Ctx.merge(AfterL, AfterR);
     if (!propEqual(LeftType, RightType))
       return makeError("check: case branches prove different "
                        "propositions: " +
@@ -269,15 +232,9 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
 
   case Proof::Tag::BangIntro: {
     // The body may use only persistent hypotheses.
-    std::vector<size_t> Blocked;
-    for (size_t I = 0; I < Env.size(); ++I)
-      if (!Env[I].Persistent && !Env[I].Blocked) {
-        Env[I].Blocked = true;
-        Blocked.push_back(I);
-      }
+    std::vector<size_t> Blocked = Ctx.block();
     auto BodyType = infer(M->A);
-    for (size_t I : Blocked)
-      Env[I].Blocked = false;
+    Ctx.unblock(Blocked);
     if (!BodyType)
       return BodyType.takeError();
     return pBang(*BodyType);
@@ -288,7 +245,7 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
     if (OfType->Kind != Prop::Tag::Bang)
       return makeError("check: bang-let on non-! type " +
                        printProp(OfType));
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, OfType->Body, /*IsPersistent=*/true);
     TC_UNWRAP(BodyType, infer(M->B));
     TC_TRY(popScope(Mark));
@@ -331,7 +288,7 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
       return makeError("check: unpack of non-existential type " +
                        printProp(OfType));
     Psi.push_back(OfType->QType);
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, OfType->Body, false);
     auto BodyType = infer(M->B);
     Status Popped = popScope(Mark);
@@ -357,7 +314,7 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
     if (OfType->Kind != Prop::Tag::Says)
       return makeError("check: saybind of non-affirmation type " +
                        printProp(OfType));
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, OfType->Body, false);
     TC_UNWRAP(BodyType, infer(M->B));
     TC_TRY(popScope(Mark));
@@ -394,7 +351,7 @@ Result<PropPtr> Engine::infer(const ProofPtr &M) {
     if (OfType->Kind != Prop::Tag::If)
       return makeError("check: ifbind of non-conditional type " +
                        printProp(OfType));
-    size_t Mark = Env.size();
+    size_t Mark = Ctx.mark();
     bind(M->X, OfType->Body, false);
     TC_UNWRAP(BodyType, infer(M->B));
     TC_TRY(popScope(Mark));

@@ -172,6 +172,8 @@ void writeCond(Writer &W, const CondPtr &C) {
 }
 
 Result<CondPtr> readCond(Reader &R) {
+  Reader::Nest Level(R);
+  TC_TRY(Level.check());
   TC_UNWRAP(Tag, R.readU8());
   switch (static_cast<Cond::Tag>(Tag)) {
   case Cond::Tag::True:

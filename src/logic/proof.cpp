@@ -433,6 +433,8 @@ void writeProof(Writer &W, const ProofPtr &M) {
 }
 
 Result<ProofPtr> readProof(Reader &R) {
+  Reader::Nest Level(R);
+  TC_TRY(Level.check());
   TC_UNWRAP(TagByte, R.readU8());
   auto Tag = static_cast<Proof::Tag>(TagByte);
   switch (Tag) {

@@ -509,6 +509,8 @@ static Result<PropPtr> readPropIntern(Reader &R, ReadIntern &Intern) {
         }
   }
 
+  Reader::Nest Level(R);
+  TC_TRY(Level.check());
   PropPtr Out;
   TC_UNWRAP(Tag, R.readU8());
   switch (static_cast<Prop::Tag>(Tag)) {

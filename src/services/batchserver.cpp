@@ -218,8 +218,9 @@ Result<std::string>
 BatchServer::recordWriteThrough(const tc::Transaction &T) {
   BatchMetrics &M = BatchMetrics::get();
   // Lint before paying the cost of building and signing the Bitcoin
-  // carrier; a transaction the node would reject never leaves here, and
-  // a lint rejection is permanent — it is not worth deferring.
+  // carrier. A lint rejection is permanent — the node's own checks
+  // would refuse the transaction on every retry — so it is not worth
+  // deferring.
   if (auto S = analysis::lintGate(T); !S) {
     M.WriteRejected.inc();
     return S.takeError();

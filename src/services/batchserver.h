@@ -99,9 +99,11 @@ public:
   /// condition; Section 5). Returns the Bitcoin txid. A transiently
   /// unsubmittable transaction (funding or mempool conflicts during
   /// reorg churn) is not lost: it joins a deferred queue that
-  /// \ref retryPending drains with bounded exponential backoff; only a
-  /// lint rejection — which the node is guaranteed to repeat — fails
-  /// without deferral.
+  /// \ref retryPending drains with bounded exponential backoff. Only a
+  /// rejection by `analysis::lintGate`, run on the bare transaction
+  /// before the carrier is built, fails without deferral: the lint
+  /// reports an error only where the node's own checks reject on every
+  /// retry, so the rejection is permanent.
   Result<std::string> recordWriteThrough(const tc::Transaction &T);
 
   /// Retry deferred write-throughs whose backoff deadline passed at

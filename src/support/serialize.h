@@ -24,6 +24,12 @@
 
 namespace typecoin {
 
+/// The deepest term nesting (proofs, propositions, conditions and LF
+/// syntax, counted together) the decoders accept, and the depth guard
+/// of the proof checker and the affine audit. They recurse per level,
+/// so this keeps a hostile payload from overflowing the stack.
+constexpr unsigned MaxTermNesting = 256;
+
 /// Append-only serializer producing Bitcoin wire-format bytes.
 class Writer {
 public:
@@ -108,10 +114,27 @@ public:
   /// trailing garbage after a complete structure.
   Status expectEnd() const;
 
+  /// One level of a recursive decoder, held for its whole call;
+  /// `check()` fails past \ref MaxTermNesting levels.
+  struct Nest {
+    explicit Nest(Reader &R) : R(R) { ++R.Depth; }
+    ~Nest() { --R.Depth; }
+    Nest(const Nest &) = delete;
+    Nest &operator=(const Nest &) = delete;
+    Status check() const {
+      if (R.Depth <= MaxTermNesting)
+        return Status::success();
+      return makeError("term nesting exceeds " +
+                       std::to_string(MaxTermNesting) + " levels");
+    }
+    Reader &R;
+  };
+
 private:
   const uint8_t *Data;
   size_t Len;
   size_t Pos = 0;
+  unsigned Depth = 0;
 };
 
 } // namespace typecoin

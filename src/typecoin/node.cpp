@@ -3,7 +3,6 @@
 #include "typecoin/node.h"
 
 #include "analysis/audit.h"
-#include "analysis/lint.h"
 #include "analysis/symcheck.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -145,13 +144,12 @@ double Node::backoffDelay(int Attempts, const std::string &JitterKey) const {
   return retryDelay(Retry, Attempts, JitterKey);
 }
 
-/// Obs probes for the submission pipeline: one counter per gate outcome
-/// plus a latency histogram per stage, so `tcstat` can attribute
-/// submit-path time to lint vs correspondence vs the full check.
+/// Obs probes for the submission pipeline: one counter per rejection
+/// site plus a latency histogram per stage, so `tcstat` can attribute
+/// submit-path time to correspondence vs the full check.
 namespace {
 struct SubmitMetrics {
   obs::Counter &Accepted = obs::counter("node.submit.accepted");
-  obs::Counter &RejectedLint = obs::counter("node.submit.rejected.lint");
   obs::Counter &RejectedCorrespondence =
       obs::counter("node.submit.rejected.correspondence");
   obs::Counter &RejectedPrecheck =
@@ -159,7 +157,6 @@ struct SubmitMetrics {
   obs::Counter &RejectedSym = obs::counter("node.submit.rejected.sym");
   obs::Counter &RejectedMempool =
       obs::counter("node.submit.rejected.mempool");
-  obs::Histogram &LintNs = obs::latencyHistogram("node.submit.lint_ns");
   obs::Histogram &EmbedNs = obs::latencyHistogram("node.submit.embed_ns");
   obs::Histogram &PrecheckNs =
       obs::latencyHistogram("node.submit.precheck_ns");
@@ -174,20 +171,6 @@ struct SubmitMetrics {
 Status Node::submitPair(const Pair &P) {
   SubmitMetrics &M = SubmitMetrics::get();
   obs::Span Trace("node.submitPair");
-  // Reject-early gate: a cheap structural lint (affine usage, script
-  // standardness, embedding shape) before the full correspondence and
-  // proof checks. Only findings the full pipeline is guaranteed to
-  // reject — across the primary and every fallback — turn into errors.
-  {
-    obs::ScopedTimer Timer(M.LintNs);
-    analysis::LintOptions LintOpts;
-    LintOpts.RequireStandard = Pool.policy().RequireStandard;
-    if (auto S = analysis::lintGate(P, LintOpts); !S) {
-      M.RejectedLint.inc();
-      return S;
-    }
-  }
-
   // Opt-in symbolic gate (TYPECOIN_SYMCHECK): tcsym over the carrier
   // output scripts plus the whole-ledger affine dataflow pass. A no-op
   // (single env read) when the gate is off.
@@ -218,13 +201,11 @@ Status Node::submitPair(const Pair &P) {
   ChainOracle Oracle(Chain, Chain.tipTime());
   {
     obs::ScopedTimer Timer(M.PrecheckNs);
-    if (auto R = TcState.checkTransaction(P.Tc, Oracle); !R) {
-      // A currently-invalid primary is still relayable when some fallback
-      // is valid (Section 5); otherwise reject early.
-      if (auto Sel = TcState.selectValid(P.Tc, Oracle); !Sel) {
-        M.RejectedPrecheck.inc();
-        return R.takeError().withContext("typecoin pre-check");
-      }
+    // One pass over the alternatives: a currently-invalid primary is
+    // still relayable when some fallback is valid (Section 5).
+    if (auto Sel = TcState.selectValid(P.Tc, Oracle); !Sel) {
+      M.RejectedPrecheck.inc();
+      return Sel.takeError().withContext("typecoin pre-check");
     }
   }
   if (auto S = Pool.acceptTransaction(P.Btc, Chain); !S) {

@@ -148,9 +148,9 @@ public:
   State &state() { return TcState; }
   const State &state() const { return TcState; }
 
-  /// Validate a pair (correspondence, relay policy, and a provisional
-  /// Typecoin check at the current tip time), journal it, and queue it
-  /// for mining. The pair stays pending — and is periodically
+  /// Validate a pair (correspondence, one provisional Typecoin check of
+  /// each alternative at the current tip time, then relay policy),
+  /// journal it, and queue it for mining. The pair stays pending — and is periodically
   /// resubmitted by \ref tick — until a carrier with its payload
   /// confirms at registration depth.
   Status submitPair(const Pair &P);

@@ -13,7 +13,7 @@ using logic::PropPtr;
 
 /// Per-rule obs probes for the `T ok` pipeline: one counter for checks,
 /// one for failures, one latency histogram per numbered rule of
-/// checkBody plus the end-to-end total. Looked up once per process.
+/// checkTransaction plus the end-to-end total. Looked up once per process.
 namespace {
 struct CheckerMetrics {
   obs::Counter &Checks = obs::counter("checker.checks");
@@ -35,9 +35,8 @@ struct CheckerMetrics {
 };
 } // namespace
 
-Status State::checkBody(const Transaction &T,
-                        const logic::CondOracle &Oracle,
-                        logic::CondPtr &PhiOut) const {
+Status State::checkTransaction(const Transaction &T,
+                               const logic::CondOracle &Oracle) const {
   CheckerMetrics &M = CheckerMetrics::get();
   M.Checks.inc();
   obs::ScopedTimer Total(M.TotalNs);
@@ -162,30 +161,23 @@ Status State::checkBody(const Transaction &T,
       return makeError("typecoin: condition " + logic::printCond(Phi) +
                        " does not hold");
   }
-  PhiOut = Phi;
   Guard.Disarmed = true;
   return Status::success();
 }
 
-Result<CheckReport> State::checkTransaction(
-    const Transaction &T, const logic::CondOracle &Oracle) const {
-  CheckReport Report;
-  Report.Phi = logic::cTrue();
-  TC_TRY(checkBody(T, Oracle, Report.Phi));
-  return Report;
-}
-
 Result<size_t> State::selectValid(const Transaction &T,
                                   const logic::CondOracle &Oracle) const {
-  logic::CondPtr Phi;
-  if (checkBody(T, Oracle, Phi))
+  Status Primary = checkTransaction(T, Oracle);
+  if (Primary)
     return static_cast<size_t>(0);
   for (size_t I = 0; I < T.Fallbacks.size(); ++I)
-    if (checkBody(T.Fallbacks[I], Oracle, Phi))
+    if (checkTransaction(T.Fallbacks[I], Oracle))
       return I + 1;
-  return makeError("typecoin: no valid alternative (primary and " +
-                   std::to_string(T.Fallbacks.size()) +
-                   " fallbacks all invalid)");
+  if (T.Fallbacks.empty())
+    return Primary.takeError();
+  return Primary.takeError().withContext(
+      "typecoin: no valid alternative (primary and " +
+      std::to_string(T.Fallbacks.size()) + " fallbacks all invalid); primary");
 }
 
 Result<size_t> State::applyTransaction(const Transaction &T,

@@ -35,23 +35,19 @@
 namespace typecoin {
 namespace tc {
 
-/// Result of checking one transaction body against the state.
-struct CheckReport {
-  /// The condition the proof discharged (true when the obligation had no
-  /// top-level conditional).
-  logic::CondPtr Phi;
-};
-
 /// The accumulated Typecoin chain state.
 class State {
 public:
-  /// Check `T ok` against the current state (no mutation). \p Oracle
-  /// supplies condition evidence at the evaluation time.
-  Result<CheckReport> checkTransaction(const Transaction &T,
-                                       const logic::CondOracle &Oracle) const;
+  /// Check `T ok` for one alternative (its fallbacks are not consulted)
+  /// against the current state, without mutating it. \p Oracle supplies
+  /// condition evidence at the evaluation time.
+  Status checkTransaction(const Transaction &T,
+                          const logic::CondOracle &Oracle) const;
 
   /// Which of {primary, fallbacks...} is the effective transaction?
-  /// Returns the index (0 = primary) or an error when none is valid.
+  /// Checks each alternative once, in order, and returns the index of
+  /// the first valid one (0 = primary). When none is valid the error
+  /// carries the primary's reason.
   Result<size_t> selectValid(const Transaction &T,
                              const logic::CondOracle &Oracle) const;
 
@@ -101,9 +97,6 @@ public:
   std::string fingerprint() const;
 
 private:
-  Status checkBody(const Transaction &T, const logic::CondOracle &Oracle,
-                   logic::CondPtr &PhiOut) const;
-
   logic::Basis Global;
   struct Entry {
     Transaction T;

@@ -2,7 +2,8 @@
 //
 // One test per tclint diagnostic class: the affine-usage audit, the
 // transaction-structure lints, the script-standardness lints, the
-// embedding lints, and the reject-early gate semantics.
+// embedding lints, and the batch server's gate semantics. The node-level
+// half of the severity contract lives in submit_contract_test.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,12 +134,10 @@ TEST(AffineAudit, UnusedWarningCanBeSuppressed) {
 
 TEST(AffineAudit, DepthGuardFiresOnce) {
   ProofPtr M = mOne();
-  for (int I = 0; I < 64; ++I)
+  for (unsigned I = 0; I < MaxTermNesting + 48; ++I)
     M = mBang(M);
   LintReport Out;
-  AffineAuditOptions Opts;
-  Opts.MaxDepth = 16;
-  auditAffineUsage(M, {}, {}, Out, "proof", Opts);
+  auditAffineUsage(M, {}, {}, Out, "proof");
   EXPECT_TRUE(Out.has("proof-depth"));
   EXPECT_EQ(Out.count(Severity::Error), 1u);
 }
@@ -357,21 +356,6 @@ TEST(LintGate, AllAlternativesBrokenRejects) {
   F.Proof = nullptr;
   T.Fallbacks.push_back(F);
   EXPECT_FALSE(lintGate(T).hasValue());
-}
-
-TEST(LintGate, PairGateCatchesScriptViolations) {
-  tc::Transaction T = cleanTx();
-  auto Btc = tc::embedTransaction(T, tc::EmbedScheme::Multisig1of2);
-  ASSERT_TRUE(Btc.hasValue());
-  tc::Pair P;
-  P.Tc = T;
-  P.Btc = *Btc;
-  // The embedded pair itself is acceptable to the lint layer.
-  EXPECT_TRUE(lintGate(P).hasValue());
-  // Adding a non-standard extra output is a shared (carrier) error.
-  P.Btc.Outputs.push_back(
-      {1000000, bitcoin::Script().op(bitcoin::OP_NOP)});
-  EXPECT_FALSE(lintGate(P).hasValue());
 }
 
 // --- Diagnostic plumbing --------------------------------------------------

@@ -123,7 +123,7 @@ TEST(ObsIntegration, MineSubmitReorgRecoverExportsPlausibleMetrics) {
 
   // node.submit.*: two accepted pairs, no gate rejections.
   EXPECT_EQ(S.counter("node.submit.accepted"), 2u);
-  EXPECT_EQ(S.counter("node.submit.rejected.lint"), 0u);
+  EXPECT_EQ(S.counter("node.submit.rejected.correspondence"), 0u);
   EXPECT_EQ(S.counter("node.submit.rejected.precheck"), 0u);
   EXPECT_EQ(S.counter("node.recover.runs"), 1u);
   EXPECT_EQ(S.counter("node.recover.requeued"), 1u);

@@ -10,6 +10,8 @@
 
 #include "testutil.h"
 
+#include "obs/metrics.h"
+
 using namespace typecoin;
 using namespace typecoin::tc;
 using namespace typecoin::testutil;
@@ -152,7 +154,11 @@ TEST_F(FallbackTest, FallbackUsedWhenConditionFails) {
   auto P = buildPair(T, Bob.Wallet, Node.chain());
   ASSERT_TRUE(P.hasValue()) << P.error().message();
   // The node accepts: the primary is invalid but the fallback is valid.
+  // One pass over the alternatives checks each exactly once.
+  obs::Counter &Checks = obs::counter("checker.checks");
+  uint64_t ChecksBefore = Checks.value();
   ASSERT_TRUE(Node.submitPair(*P).hasValue());
+  EXPECT_EQ(Checks.value() - ChecksBefore, 2u);
   std::string Txid = txidHex(P->Btc);
   mine(Node, crypto::KeyId{}, 1, Clock);
   // Bob recovered the widget; Carol's slot is trivial.

@@ -2,6 +2,7 @@
 
 #include "typecoin/transaction.h"
 
+#include "logic/check.h"
 #include "support/rng.h"
 
 #include <gtest/gtest.h>
@@ -61,6 +62,49 @@ TEST(TcTransaction, SerializeWithFallbacks) {
   ASSERT_TRUE(Back.hasValue()) << Back.error().message();
   ASSERT_EQ(Back->Fallbacks.size(), 1u);
   EXPECT_EQ(Back->Fallbacks[0].hash(), F.hash());
+}
+
+/// The serialized empty transaction with \p Levels copies of \p Tag
+/// inserted at byte \p At, built byte by byte: a term this deep would
+/// overflow the stack of the recursive serializer itself.
+Bytes nestedPayload(size_t At, uint8_t Tag, size_t Levels) {
+  Bytes Ser = Transaction().serialize();
+  Ser.insert(Ser.begin() + static_cast<std::ptrdiff_t>(At), Levels, Tag);
+  return Ser;
+}
+
+/// The empty transaction's proof `()` is its second-to-last byte (the
+/// fallback count follows); its grant `1` is its third (after the empty
+/// basis's two counts).
+Bytes bangedProof(size_t Bangs) {
+  size_t ProofAt = Transaction().serialize().size() - 2;
+  return nestedPayload(
+      ProofAt, static_cast<uint8_t>(logic::Proof::Tag::BangIntro), Bangs);
+}
+
+TEST(TcTransaction, DeserializeBoundsTermNesting) {
+  // `()` plus the bangs is the proof's nesting: at the bound it decodes,
+  // and the checker walks it.
+  auto AtBound = Transaction::deserialize(bangedProof(MaxTermNesting - 1));
+  ASSERT_TRUE(AtBound.hasValue()) << AtBound.error().message();
+  logic::Basis Sigma;
+  logic::TrustingVerifier Trust;
+  logic::ProofChecker Checker(Sigma, Trust);
+  EXPECT_TRUE(Checker.infer(AtBound->Proof).hasValue());
+
+  // One level more is an error, and so is a hostile 100 000-level proof
+  // (which used to overflow the decoder's stack).
+  for (size_t Bangs : {size_t{MaxTermNesting}, size_t{100000}}) {
+    auto Deep = Transaction::deserialize(bangedProof(Bangs));
+    ASSERT_FALSE(Deep.hasValue()) << Bangs;
+    EXPECT_NE(Deep.error().message().find("nesting"), std::string::npos)
+        << Deep.error().message();
+  }
+
+  // Propositions share the bound: a grant `!...!1` nested past it.
+  auto DeepGrant = Transaction::deserialize(nestedPayload(
+      2, static_cast<uint8_t>(logic::Prop::Tag::Bang), 100000));
+  EXPECT_FALSE(DeepGrant.hasValue());
 }
 
 TEST(TcTransaction, HashCoversEverything) {
