@@ -10,8 +10,8 @@
 //    naive double-and-add ladders,
 //  * doubleMultiply — the exact operation ecdsaVerify computes — table
 //    Straus vs the bitwise Shamir reference,
-//  * ECDSA sign/verify end to end, and compressed public-key parse
-//    (decompression's fixed square-root chain),
+//  * ECDSA sign/verify end to end, compressed public-key parse (a
+//    Jacobi symbol) and decompression (the fixed square-root chain),
 //  * propDigest / propEqual on a shared-subterm depth-10 proposition
 //    with interning off vs on (O(depth) serialize-and-hash vs O(1)
 //    pointer compare + memo read).
@@ -55,7 +55,7 @@ void BM_FieldMul(benchmark::State &State) {
 BENCHMARK(BM_FieldMul);
 
 void BM_FieldSqr(benchmark::State &State) {
-  // The square-root chain in PublicKey::parse is 253 of these to 13
+  // The square-root chain in Secp256k1::parse is 253 of these to 13
   // multiplies, so this row, not BM_FieldMul, sets its cost.
   const ModArith &Fp = Secp256k1::instance().field();
   Rng R(7);
@@ -155,20 +155,23 @@ void BM_EcdsaSign(benchmark::State &State) {
 BENCHMARK(BM_EcdsaSign);
 
 void BM_EcdsaVerify(benchmark::State &State) {
+  // The verify alone: the key is decompressed once, outside the loop
+  // (BM_PublicKeyDecompress prices that).
   Rng R(13);
   PrivateKey Key = PrivateKey::generate(R);
   Digest32 Hash = sha256({0x74, 0x78});
   Signature Sig = Key.sign(Hash);
+  AffinePoint Point = Key.publicKey().point();
   for (auto _ : State) {
-    benchmark::DoNotOptimize(
-        ecdsaVerify(Key.publicKey().point(), Hash, Sig));
+    benchmark::DoNotOptimize(ecdsaVerify(Point, Hash, Sig));
   }
 }
 BENCHMARK(BM_EcdsaVerify);
 
 void BM_PublicKeyParse(benchmark::State &State) {
-  // Compressed-key decode: one field square root. Every Typecoin output
-  // names its owner this way, and a sigcache miss parses the input's key.
+  // Compressed-key validation: a Jacobi symbol of x^3 + 7, no square
+  // root. Every Typecoin output names its owner this way, so each
+  // decoded output pays this.
   Rng R(14);
   Bytes Enc = PrivateKey::generate(R).publicKey().serialize();
   for (auto _ : State) {
@@ -176,6 +179,19 @@ void BM_PublicKeyParse(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PublicKeyParse);
+
+void BM_PublicKeyDecompress(benchmark::State &State) {
+  // The same encoding decoded to its curve point: one field square
+  // root. A sigcache miss and an affirmation check pay this before they
+  // verify.
+  Rng R(14);
+  Bytes Enc = PrivateKey::generate(R).publicKey().serialize();
+  const Secp256k1 &C = Secp256k1::instance();
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(C.parse(Enc));
+  }
+}
+BENCHMARK(BM_PublicKeyDecompress);
 
 /// Depth-10 proposition whose left and right children are the same
 /// node at every level — 2^10 leaves structurally, 11 unique nodes.

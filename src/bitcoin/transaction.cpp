@@ -4,7 +4,6 @@
 
 #include "bitcoin/sigcache.h"
 #include "crypto/ecdsa.h"
-#include "crypto/keys.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -194,15 +193,16 @@ bool TransactionSignatureChecker::checkSignature(const Bytes &SigWithType,
   // One ECDSA verification per distinct (sighash, key, signature) triple
   // per process: a signature verified at mempool accept is a set lookup
   // at block connect, revalidate, and reorg replay. The key commits to
-  // the exact public-key bytes, and only a key that parsed and verified
-  // is ever added, so a hit needs no parse (a square root for a
-  // compressed key); every miss parses before it verifies.
+  // the exact public-key bytes, and only a key that decoded and verified
+  // is ever added, so a hit needs no decode; a miss decodes the key to
+  // its curve point directly (for a compressed key, one square root,
+  // which also rejects an x off the curve) and verifies.
   SignatureCache &SC = SignatureCache::instance();
   SignatureCache::Key Key = SC.makeKey(*Hash, PubKey, Der);
   if (SC.contains(Key))
     return true;
-  auto Pub = crypto::PublicKey::parse(PubKey);
-  if (!Pub || !Pub->verify(*Hash, *Sig))
+  auto Point = crypto::Secp256k1::instance().parse(PubKey);
+  if (!Point || !crypto::ecdsaVerify(*Point, *Hash, *Sig))
     return false;
   SC.add(Key);
   return true;

@@ -29,9 +29,37 @@ Result<KeyId> KeyId::fromAddress(const std::string &Address) {
   return Out;
 }
 
+PublicKey::PublicKey(const AffinePoint &Point) {
+  const Secp256k1 &Curve = Secp256k1::instance();
+  if (Point.Infinity || !Curve.isOnCurve(Point))
+    return;
+  Bytes Compressed = Curve.serialize(Point, /*Compressed=*/true);
+  std::copy(Compressed.begin(), Compressed.end(), Enc.begin());
+}
+
+AffinePoint PublicKey::point() const {
+  if (!isValid())
+    return AffinePoint::infinity();
+  // parse accepted these bytes (or they came from a curve point), so
+  // decompression cannot fail.
+  return *Secp256k1::instance().parse(serialize());
+}
+
 Result<PublicKey> PublicKey::parse(const Bytes &Data) {
-  TC_UNWRAP(Point, Secp256k1::instance().parse(Data));
-  return PublicKey(Point);
+  const Secp256k1 &Curve = Secp256k1::instance();
+  if (Data.size() == 65 && Data[0] == 0x04) {
+    TC_UNWRAP(Point, Curve.parse(Data)); // Checked on the curve.
+    return PublicKey(Point);
+  }
+  if (Data.size() != 33 || (Data[0] != 0x02 && Data[0] != 0x03))
+    return makeError("malformed SEC1 point encoding");
+  std::array<uint8_t, 32> XB{};
+  std::copy(Data.begin() + 1, Data.end(), XB.begin());
+  if (!Curve.isCurveX(U256::fromBytesBE(XB)))
+    return makeError("x coordinate is not on secp256k1");
+  PublicKey Key;
+  std::copy(Data.begin(), Data.end(), Key.Enc.begin());
+  return Key;
 }
 
 Result<PrivateKey> PrivateKey::fromScalar(const U256 &Scalar) {

@@ -43,34 +43,46 @@ struct KeyId {
   static Result<KeyId> fromAddress(const std::string &Address);
 };
 
-/// A secp256k1 public key.
+/// A secp256k1 public key, held as its 33-byte SEC1-compressed
+/// encoding. Every reader of a key but a signature check wants those
+/// bytes (the principal K is their HASH160; the wire and the store carry
+/// them), so a key is only decompressed, one field square root, when
+/// \ref point or \ref verify asks for the curve point. Copying a key
+/// allocates nothing.
 class PublicKey {
 public:
+  /// The invalid key: it serializes to no bytes (an open output's hole).
   PublicKey() = default;
-  explicit PublicKey(const AffinePoint &Point) : Point(Point) {}
+  /// The key of \p Point; infinity or a point off the curve gives the
+  /// invalid key.
+  explicit PublicKey(const AffinePoint &Point);
 
-  const AffinePoint &point() const { return Point; }
-  bool isValid() const {
-    return !Point.Infinity && Secp256k1::instance().isOnCurve(Point);
-  }
+  /// The curve point, decompressed (one square root); infinity for the
+  /// invalid key.
+  AffinePoint point() const;
+  bool isValid() const { return Enc[0] != 0; }
 
-  /// SEC1-compressed 33-byte encoding.
+  /// SEC1-compressed 33-byte encoding; empty for the invalid key.
   Bytes serialize() const {
-    return Secp256k1::instance().serialize(Point, /*Compressed=*/true);
+    return isValid() ? Bytes(Enc.begin(), Enc.end()) : Bytes();
   }
+  /// Accepts a compressed key whose x is on the curve (a Jacobi symbol,
+  /// no square root: \ref Secp256k1::isCurveX), or an uncompressed key
+  /// on the curve, which is stored compressed.
   static Result<PublicKey> parse(const Bytes &Data);
 
   /// HASH160 of the compressed encoding; the owning principal.
   KeyId id() const { return KeyId{hash160(serialize())}; }
 
   bool verify(const Digest32 &Hash, const Signature &Sig) const {
-    return ecdsaVerify(Point, Hash, Sig);
+    return ecdsaVerify(point(), Hash, Sig);
   }
 
-  bool operator==(const PublicKey &O) const { return Point == O.Point; }
+  bool operator==(const PublicKey &O) const { return Enc == O.Enc; }
 
 private:
-  AffinePoint Point;
+  /// Prefix 02/03 and the big-endian x; all zero for the invalid key.
+  std::array<uint8_t, 33> Enc{};
 };
 
 /// A secp256k1 private key with its derived public key.

@@ -140,6 +140,12 @@ bool Secp256k1::isOnCurve(const AffinePoint &P) const {
   return Lhs == Rhs;
 }
 
+bool Secp256k1::isCurveX(const U256 &X) const {
+  // x^3 + 7 is never 0 mod p (the group has odd order, so no point has
+  // y = 0), so this accepts exactly the x whose root parse finds.
+  return X < Fp.modulus() && Fp.jacobi(curveRhs(X)) == 1;
+}
+
 Secp256k1::JacobianPoint Secp256k1::toJacobian(const AffinePoint &P) const {
   if (P.Infinity)
     return JacobianPoint{U256::zero(), U256::zero(), U256::zero()};
@@ -627,7 +633,7 @@ Result<AffinePoint> Secp256k1::parse(const Bytes &Data) const {
     if (X >= Fp.modulus())
       return makeError("x coordinate out of range");
     // y^2 = x^3 + 7; p = 3 mod 4, so sqrt(a) = a^((p+1)/4).
-    U256 Rhs = Fp.add(Fp.mul(Fp.mul(X, X), X), U256(7));
+    U256 Rhs = curveRhs(X);
     U256 Y = Fp.fromMont(sqrtCandidate(Fp, Fp.toMont(Rhs)));
     if (Fp.mul(Y, Y) != Rhs)
       return makeError("x coordinate has no square root (not on curve)");

@@ -103,6 +103,11 @@ public:
 
   /// True if \p P is on the curve (or infinity).
   bool isOnCurve(const AffinePoint &P) const;
+  /// True if \p X is the x of a curve point: x < p and x^3 + 7 is a
+  /// nonzero square mod p, decided by a Jacobi symbol with no square
+  /// root. A compressed encoding of \p X under either prefix is then
+  /// exactly one that \ref parse accepts.
+  bool isCurveX(const U256 &X) const;
 
   /// Group operations (affine interface; Jacobian internally).
   AffinePoint add(const AffinePoint &P, const AffinePoint &Q) const;
@@ -128,7 +133,10 @@ public:
 
   /// SEC1 serialization: 33 bytes (compressed) or 65 (uncompressed).
   Bytes serialize(const AffinePoint &P, bool Compressed = true) const;
-  /// SEC1 parse, with decompression (p = 3 mod 4 square root).
+  /// SEC1 parse to a point. A compressed encoding is decompressed with
+  /// one field square root (p = 3 mod 4, a fixed addition chain), so
+  /// only a signature check calls this: `PublicKey` keeps the bytes and
+  /// validates them with \ref isCurveX.
   Result<AffinePoint> parse(const Bytes &Data) const;
 
   /// Process-wide instance (curve constants are fixed; tables are built
@@ -170,6 +178,11 @@ private:
   void strausAddScaled(JacobianPoint &Acc, int D, bool Neg,
                        const std::vector<MontAffine> &T, const U256 &Z2,
                        const U256 &Z3) const;
+
+  /// x^3 + 7, the curve's y^2 at \p X.
+  U256 curveRhs(const U256 &X) const {
+    return Fp.add(Fp.mul(Fp.mul(X, X), X), U256(7));
+  }
 
   JacobianPoint toJacobian(const AffinePoint &P) const;
   AffinePoint toAffine(const JacobianPoint &P) const;

@@ -3,6 +3,7 @@
 #include "crypto/u256.h"
 
 #include <cassert>
+#include <utility>
 
 namespace typecoin {
 namespace crypto {
@@ -182,6 +183,35 @@ U256 ModArith::inverse(const U256 &A) const {
     }
   }
   return U == One ? X1 : X2;
+}
+
+int ModArith::jacobi(const U256 &A) const {
+  // Keeps (A / M) = Sign * (X / N) with N odd while (X, N) falls to
+  // (0, gcd(A, M)), where (0 / N) is 1 for N = 1 and 0 otherwise:
+  //  * (2 / N) = -1 exactly when N = 3 or 5 mod 8, so an odd number of
+  //    twos stripped from X flips Sign for such N;
+  //  * for odd X < N, reciprocity swaps the two, flipping Sign when
+  //    both are 3 mod 4;
+  //  * (X / N) = ((X - N) / N), which leaves X even again.
+  U256 X = A, N = M;
+  int Sign = 1;
+  while (!X.isZero()) {
+    unsigned Twos = 0;
+    while (!X.bit(0)) {
+      X.shr1();
+      ++Twos;
+    }
+    uint64_t NMod8 = N.Limbs[0] & 7;
+    if ((Twos & 1) && (NMod8 == 3 || NMod8 == 5))
+      Sign = -Sign;
+    if (X < N) {
+      std::swap(X, N);
+      if ((X.Limbs[0] & 3) == 3 && (N.Limbs[0] & 3) == 3)
+        Sign = -Sign;
+    }
+    X.subInPlace(N);
+  }
+  return N == U256::one() ? Sign : 0;
 }
 
 U256 ModArith::reduce(const U256 &A) const {

@@ -232,6 +232,11 @@ public:
   /// Inverse via binary extended GCD (HAC 14.61); requires a prime
   /// modulus and nonzero \p A.
   U256 inverse(const U256 &A) const;
+  /// The Jacobi symbol (A / M) by the binary algorithm (shifts and
+  /// subtractions, no multiply). For the prime moduli used here it is
+  /// the Legendre symbol: 1 when \p A is a nonzero square mod M, -1
+  /// when it is not a square, 0 when A = 0 mod M.
+  int jacobi(const U256 &A) const;
   /// Reduce an arbitrary 256-bit value mod M.
   U256 reduce(const U256 &A) const;
 

@@ -556,6 +556,8 @@ static Result<PropPtr> readPropIntern(Reader &R, ReadIntern &Intern) {
   }
   case Prop::Tag::Receipt: {
     TC_UNWRAP(HasBody, R.readU8());
+    if (HasBody > 1)
+      return makeError("logic: receipt body flag is not 0 or 1");
     PropPtr Body;
     if (HasBody) {
       TC_UNWRAP(B, readPropIntern(R, Intern));

@@ -6,7 +6,8 @@ namespace typecoin {
 namespace tc {
 
 crypto::Digest32 OpenTransaction::templateDigest() const {
-  // Erase the holes, then hash the canonical serialization.
+  // Erase the holes, then hash the canonical serialization: the open
+  // output's owner becomes the invalid key, which writes no bytes.
   Transaction Erased = Template;
   if (OpenInput) {
     if (*OpenInput < Erased.Inputs.size()) {
@@ -23,25 +24,7 @@ crypto::Digest32 OpenTransaction::templateDigest() const {
   W.writeU64(OpenInput ? static_cast<uint64_t>(*OpenInput) : 0);
   W.writeU8(OpenOutput ? 1 : 0);
   W.writeU64(OpenOutput ? static_cast<uint64_t>(*OpenOutput) : 0);
-  // Serialize fields manually: the owner hole may be an invalid key, so
-  // reuse the pieces rather than Transaction::serialize.
-  Erased.LocalBasis.serialize(W);
-  logic::writeProp(W, Erased.Grant);
-  W.writeCompactSize(Erased.Inputs.size());
-  for (const Input &In : Erased.Inputs) {
-    W.writeString(In.SourceTxid);
-    W.writeU32(In.SourceIndex);
-    logic::writeProp(W, In.Type);
-    W.writeU64(static_cast<uint64_t>(In.Amount));
-  }
-  W.writeCompactSize(Erased.Outputs.size());
-  for (size_t I = 0; I < Erased.Outputs.size(); ++I) {
-    const Output &Out = Erased.Outputs[I];
-    logic::writeProp(W, Out.Type);
-    W.writeU64(static_cast<uint64_t>(Out.Amount));
-    bool IsHole = OpenOutput && *OpenOutput == I;
-    W.writeVarBytes(IsHole ? Bytes() : Out.Owner.serialize());
-  }
+  writeCore(W, Erased);
   return crypto::sha256d(W.buffer());
 }
 

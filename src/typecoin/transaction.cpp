@@ -7,8 +7,7 @@ namespace tc {
 
 Transaction::Transaction() : Grant(logic::pOne()), Proof(logic::mOne()) {}
 
-/// Serialize everything except fallbacks and the proof.
-static void writeCore(Writer &W, const Transaction &T) {
+void writeCore(Writer &W, const Transaction &T) {
   T.LocalBasis.serialize(W);
   logic::writeProp(W, T.Grant);
   W.writeCompactSize(T.Inputs.size());
@@ -72,7 +71,11 @@ static Result<Transaction> readWhole(Reader &R, int Depth) {
     Out.Type = Type;
     TC_UNWRAP(Amount, R.readU64());
     Out.Amount = static_cast<bitcoin::Amount>(Amount);
+    // Exactly the compressed key, so the owner re-serializes to the
+    // bytes it came from.
     TC_UNWRAP(KeyBytes, R.readVarBytes());
+    if (KeyBytes.size() != 33)
+      return makeError("typecoin: owner key is not 33-byte compressed");
     TC_UNWRAP(Key, crypto::PublicKey::parse(KeyBytes));
     Out.Owner = Key;
     T.Outputs.push_back(std::move(Out));
@@ -162,13 +165,15 @@ Status verifyAffirmationBlob(const std::string &KHash,
   TC_UNWRAP(PubKeyBytes, R.readVarBytes());
   TC_UNWRAP(SigBytes, R.readVarBytes());
   TC_TRY(R.expectEnd());
-  TC_UNWRAP(PubKey, crypto::PublicKey::parse(PubKeyBytes));
-  if (PubKey.id().toHex() != KHash)
+  // Decode straight to the curve point: the signature check needs it,
+  // so the key is decompressed once here and never Jacobi-checked.
+  TC_UNWRAP(Point, crypto::Secp256k1::instance().parse(PubKeyBytes));
+  if (crypto::PublicKey(Point).id().toHex() != KHash)
     return makeError("affirmation: public key does not hash to the "
                      "claimed principal " +
                      KHash.substr(0, 8));
   TC_UNWRAP(Sig, crypto::Signature::fromDER(SigBytes));
-  if (!PubKey.verify(Digest, Sig))
+  if (!crypto::ecdsaVerify(Point, Digest, Sig))
     return makeError("affirmation: invalid signature for principal " +
                      KHash.substr(0, 8));
   return Status::success();

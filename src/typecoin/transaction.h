@@ -86,6 +86,11 @@ struct Transaction {
   logic::PropPtr obligation(const logic::CondPtr &Phi) const;
 };
 
+/// Write \p T without its proof and fallbacks: the part of the
+/// serialization an affine assert signs and an open transaction's
+/// template digest covers.
+void writeCore(Writer &W, const Transaction &T);
+
 /// The digest signed by an affine `assert(K, A, sig)`: "sig is a
 /// signature by K of A, Sigma', C, inputs, outputs" (Appendix A) — the
 /// whole transaction except the proof term, which contains the

@@ -147,6 +147,24 @@ TEST(Keys, PublicKeySerializeParse) {
   }
 }
 
+TEST(Keys, InvalidKeyHasNoBytes) {
+  // The default key (an open output's hole), infinity and a point off
+  // the curve are all the invalid key: no bytes, no point, and no
+  // signature verifies under it.
+  PublicKey None;
+  EXPECT_FALSE(None.isValid());
+  EXPECT_TRUE(None.serialize().empty());
+  EXPECT_EQ(None.id().Hash, hash160(Bytes()));
+  EXPECT_TRUE(None.point().Infinity);
+  const AffinePoint &G = Secp256k1::instance().generator();
+  EXPECT_EQ(PublicKey(AffinePoint::infinity()), None);
+  EXPECT_EQ(PublicKey(AffinePoint::make(G.X, G.X)), None);
+  PrivateKey Key = keyFromSeed(9);
+  Digest32 H = hashOf("hole");
+  EXPECT_FALSE(None.verify(H, Key.sign(H)));
+  EXPECT_TRUE(PublicKey(G).isValid());
+}
+
 TEST(Keys, KeyIdIsStable) {
   PrivateKey Key = keyFromSeed(13);
   EXPECT_EQ(Key.id(), Key.publicKey().id());

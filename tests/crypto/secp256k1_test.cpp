@@ -2,6 +2,7 @@
 
 #include "crypto/secp256k1.h"
 
+#include "crypto/keys.h"
 #include "support/rng.h"
 
 #include <gtest/gtest.h>
@@ -169,9 +170,11 @@ TEST(Secp256k1, ParseRejectsXNotOnCurve) {
 }
 
 TEST(Secp256k1, DecompressMatchesPowReference) {
-  // parse's fixed square-root chain against the generic exponentiation,
-  // over random x under both prefixes: a key is accepted exactly when
-  // x^3 + 7 has a root, and then decodes to that root of the asked parity.
+  // parse's fixed square-root chain and PublicKey::parse's Jacobi check
+  // against the generic exponentiation, over random x under both
+  // prefixes: a key is accepted exactly when x^3 + 7 has a root; then
+  // parse decodes to that root of the asked parity, and the key keeps
+  // the input bytes and decompresses to the same point.
   const ModArith &Fp = curve().field();
   Rng Rand(139);
   int Accepted = 0, Rejected = 0;
@@ -183,12 +186,18 @@ TEST(Secp256k1, DecompressMatchesPowReference) {
     std::optional<U256> Y = referenceRoot(X);
     ++(Y ? Accepted : Rejected);
     for (uint8_t Prefix : {0x02, 0x03}) {
-      auto R = curve().parse(compressed(Prefix, X));
+      Bytes Enc = compressed(Prefix, X);
+      auto R = curve().parse(Enc);
+      auto Key = PublicKey::parse(Enc);
       ASSERT_EQ(R.hasValue(), Y.has_value()) << X.toHex();
+      ASSERT_EQ(Key.hasValue(), Y.has_value()) << X.toHex();
       if (!Y)
         continue;
-      U256 Want = Y->bit(0) == (Prefix == 0x03) ? *Y : Fp.neg(*Y);
-      EXPECT_EQ(*R, AffinePoint::make(X, Want)) << X.toHex();
+      AffinePoint Want = AffinePoint::make(
+          X, Y->bit(0) == (Prefix == 0x03) ? *Y : Fp.neg(*Y));
+      EXPECT_EQ(*R, Want) << X.toHex();
+      EXPECT_EQ(Key->serialize(), Enc) << X.toHex();
+      EXPECT_EQ(Key->point(), Want) << X.toHex();
     }
   }
   // About half of all x have a root; both outcomes must be exercised.
@@ -199,26 +208,61 @@ TEST(Secp256k1, DecompressMatchesPowReference) {
 TEST(Secp256k1, DecompressEdges) {
   const ModArith &Fp = curve().field();
   const AffinePoint &G = curve().generator();
+  // Each accepted encoding decodes to its point under both parsers, and
+  // the key keeps the bytes.
+  auto Accepts = [&](const Bytes &Enc, const AffinePoint &Want) {
+    auto R = curve().parse(Enc);
+    ASSERT_TRUE(R.hasValue()) << toHex(Enc);
+    EXPECT_EQ(*R, Want) << toHex(Enc);
+    auto Key = PublicKey::parse(Enc);
+    ASSERT_TRUE(Key.hasValue()) << toHex(Enc);
+    EXPECT_EQ(Key->serialize(), Enc) << toHex(Enc);
+    EXPECT_EQ(Key->point(), Want) << toHex(Enc);
+  };
   // G's y is even, so 02 selects G and 03 selects -G.
-  auto Even = curve().parse(compressed(0x02, G.X));
-  ASSERT_TRUE(Even.hasValue());
-  EXPECT_EQ(*Even, G);
-  auto Odd = curve().parse(compressed(0x03, G.X));
-  ASSERT_TRUE(Odd.hasValue());
-  EXPECT_EQ(*Odd, curve().negate(G));
+  Accepts(compressed(0x02, G.X), G);
+  Accepts(compressed(0x03, G.X), curve().negate(G));
   // beta * Gx is the x of lambda * G, which shares G's (even) y.
-  auto Endo = curve().parse(compressed(0x02, Fp.mul(curve().endoBeta(), G.X)));
-  ASSERT_TRUE(Endo.hasValue());
-  EXPECT_EQ(*Endo, curve().multiply(curve().endoLambda(), G));
-  // x = 0 and x = p - 1 have no root; x = p is out of range.
+  Accepts(compressed(0x02, Fp.mul(curve().endoBeta(), G.X)),
+          curve().multiply(curve().endoLambda(), G));
+
+  // x = 0, p - 1 and 5 have no root; x = p and 2^256 - 1 are out of
+  // range. Neither parser accepts any of them under either prefix.
   U256 PMinus1 = Fp.modulus();
   PMinus1.subInPlace(U256::one());
+  U256 AllOnes;
+  for (auto &Limb : AllOnes.Limbs)
+    Limb = UINT64_MAX;
   EXPECT_FALSE(referenceRoot(U256::zero()).has_value());
   EXPECT_FALSE(referenceRoot(PMinus1).has_value());
-  for (const U256 &X : {U256::zero(), PMinus1, Fp.modulus()})
-    for (uint8_t Prefix : {0x02, 0x03})
+  EXPECT_FALSE(referenceRoot(U256(5)).has_value());
+  for (const U256 &X :
+       {U256::zero(), PMinus1, Fp.modulus(), AllOnes, U256(5)})
+    for (uint8_t Prefix : {0x02, 0x03}) {
       EXPECT_FALSE(curve().parse(compressed(Prefix, X)).hasValue())
           << X.toHex();
+      EXPECT_FALSE(PublicKey::parse(compressed(Prefix, X)).hasValue())
+          << X.toHex();
+    }
+
+  // The hybrid prefixes 06/07 are refused, whether as 65-byte encodings
+  // of G or on a 33-byte x.
+  Bytes Full = curve().serialize(G, /*Compressed=*/false);
+  for (uint8_t Prefix : {0x06, 0x07}) {
+    Bytes Hybrid = Full;
+    Hybrid[0] = Prefix;
+    for (const Bytes &Enc : {Hybrid, compressed(Prefix, G.X)}) {
+      EXPECT_FALSE(curve().parse(Enc).hasValue()) << toHex(Enc);
+      EXPECT_FALSE(PublicKey::parse(Enc).hasValue()) << toHex(Enc);
+    }
+  }
+
+  // The 65-byte encoding of G is accepted and stored as 02 || Gx.
+  auto Key = PublicKey::parse(Full);
+  ASSERT_TRUE(Key.hasValue());
+  EXPECT_EQ(Key->serialize(), compressed(0x02, G.X));
+  EXPECT_EQ(Key->point(), G);
+  EXPECT_EQ(*Key, *PublicKey::parse(compressed(0x02, G.X)));
 }
 
 } // namespace

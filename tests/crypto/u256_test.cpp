@@ -208,6 +208,47 @@ TEST_P(ModArithTest, FermatLittleTheorem) {
   }
 }
 
+TEST_P(ModArithTest, JacobiMatchesEulerCriterion) {
+  // For prime M, (a / M) = a^((M-1)/2): 1 for a nonzero square, M - 1
+  // for a non-square, 0 for a = 0. Both outcomes must be exercised.
+  U256 Exp = M;
+  Exp.subInPlace(U256::one());
+  U256 MinusOne = Exp;
+  Exp.shr1();
+  Rng Rand(43);
+  std::vector<U256> Cases = {U256::zero(), U256::one(), U256(2), M,
+                             MinusOne};
+  for (int I = 0; I < 300; ++I)
+    Cases.push_back(Arith.reduce(randomU256(Rand)));
+  int Squares = 0, NonSquares = 0;
+  for (const U256 &A : Cases) {
+    U256 Euler = Arith.pow(Arith.reduce(A), Exp);
+    int Want = Euler.isZero() ? 0 : Euler == U256::one() ? 1 : -1;
+    ASSERT_EQ(Arith.jacobi(A), Want) << A.toHex();
+    ++(Want == 1 ? Squares : NonSquares);
+  }
+  EXPECT_GT(Squares, 100);
+  EXPECT_GT(NonSquares, 100);
+}
+
+TEST(ModArith, JacobiOfCompositeModulus) {
+  // M = 2^256 - 1 = 3 * 5 * 17 * 257 * ...: the symbol is 0 when a
+  // shares a factor with M, and otherwise multiplicative in a without
+  // marking squares. M = 7 mod 8 makes (2 / M) = 1.
+  U256 M;
+  for (auto &Limb : M.Limbs)
+    Limb = UINT64_MAX;
+  ModArith Arith(M);
+  for (uint64_t Shared : {3, 5, 15, 17, 257})
+    EXPECT_EQ(Arith.jacobi(U256(Shared)), 0) << Shared;
+  EXPECT_EQ(Arith.jacobi(U256(2)), 1);
+  EXPECT_EQ(Arith.jacobi(U256(4)), 1);
+  // (7 / M) = -(M / 7) by reciprocity (both 3 mod 4), and M = 2^256 - 1
+  // = 2 - 1 = 1 mod 7, so (7 / M) = -1.
+  EXPECT_EQ(Arith.jacobi(U256(7)), -1);
+  EXPECT_EQ(Arith.jacobi(U256(14)), -1);
+}
+
 TEST_P(ModArithTest, PowZeroExponent) {
   EXPECT_EQ(Arith.pow(U256(12345), U256::zero()), U256::one());
 }

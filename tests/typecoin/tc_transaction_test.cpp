@@ -4,8 +4,11 @@
 
 #include "logic/check.h"
 #include "support/rng.h"
+#include "typecoin/opentx.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace typecoin;
 using namespace typecoin::tc;
@@ -105,6 +108,131 @@ TEST(TcTransaction, DeserializeBoundsTermNesting) {
   auto DeepGrant = Transaction::deserialize(nestedPayload(
       2, static_cast<uint8_t>(logic::Prop::Tag::Bang), 100000));
   EXPECT_FALSE(DeepGrant.hasValue());
+}
+
+/// \p Ser with the first occurrence of \p From replaced by \p To.
+Bytes splice(const Bytes &Ser, const Bytes &From, const Bytes &To) {
+  auto At = std::search(Ser.begin(), Ser.end(), From.begin(), From.end());
+  EXPECT_NE(At, Ser.end());
+  Bytes Out(Ser.begin(), At);
+  Out.insert(Out.end(), To.begin(), To.end());
+  Out.insert(Out.end(), At + static_cast<std::ptrdiff_t>(From.size()),
+             Ser.end());
+  return Out;
+}
+
+TEST(TcTransaction, DeserializeRejectsUncompressedOwner) {
+  // The owner field is the 33-byte compressed key. The 65-byte encoding
+  // of the same point would decode, re-serialize as 33 bytes, and so
+  // name one embedded hash by two byte strings.
+  crypto::PrivateKey Key = keyFromSeed(1);
+  Bytes Short{0x21};
+  Bytes Compressed = Key.publicKey().serialize();
+  Short.insert(Short.end(), Compressed.begin(), Compressed.end());
+  Bytes Long{0x41};
+  Bytes Uncompressed = crypto::Secp256k1::instance().serialize(
+      Key.publicKey().point(), /*Compressed=*/false);
+  Long.insert(Long.end(), Uncompressed.begin(), Uncompressed.end());
+
+  Bytes Ser = sampleTx().serialize();
+  ASSERT_TRUE(Transaction::deserialize(Ser).hasValue());
+  EXPECT_FALSE(Transaction::deserialize(splice(Ser, Short, Long)).hasValue());
+}
+
+TEST(TcTransaction, DeserializeRejectsReceiptFlagAboveOne) {
+  // A receipt's body flag is 0 or 1; a 2 would decode and re-serialize
+  // as 1.
+  Transaction T = sampleTx();
+  T.Grant = logic::pReceipt(localAtom("cred"), 7, T.Outputs[0].ownerTerm());
+  Writer Basis;
+  T.LocalBasis.serialize(Basis);
+  size_t FlagAt = Basis.size() + 1; // After the grant's receipt tag.
+  Bytes Ser = T.serialize();
+  ASSERT_EQ(Ser[FlagAt], 1);
+  ASSERT_TRUE(Transaction::deserialize(Ser).hasValue());
+  Ser[FlagAt] = 2;
+  EXPECT_FALSE(Transaction::deserialize(Ser).hasValue());
+}
+
+/// Every part of the encoding the mutation sweep perturbs: a local basis
+/// (an LF family and a proposition constant), two inputs, two outputs
+/// under different keys, a proof whose binder is typed with receipts
+/// (one with a body, one without), and a fallback.
+Transaction sweepFixture() {
+  Transaction T = sampleTx();
+  EXPECT_TRUE(T.LocalBasis
+                  .declareProp(lf::ConstName::local("ticket"),
+                               localAtom("cred"))
+                  .hasValue());
+  Input In2;
+  In2.SourceTxid = std::string(64, 'b');
+  In2.SourceIndex = 2;
+  In2.Type = localAtom("cred");
+  In2.Amount = 700;
+  T.Inputs.push_back(In2);
+  Output Out2;
+  Out2.Type = logic::pOne();
+  Out2.Amount = 600;
+  Out2.Owner = keyFromSeed(7).publicKey();
+  T.Outputs.push_back(Out2);
+  lf::TermPtr K = T.Outputs[0].ownerTerm();
+  logic::PropPtr Receipts =
+      logic::pTensor(logic::pReceipt(localAtom("cred"), 9000, K),
+                     logic::pReceipt(nullptr, 600, K));
+  T.Proof = logic::mLam("r", Receipts, logic::mVar("r"));
+  Transaction F = sampleTx();
+  F.Outputs[0].Owner = keyFromSeed(2).publicKey();
+  T.Fallbacks.push_back(F);
+  return T;
+}
+
+TEST(TcTransaction, SingleByteMutantsDecodeCanonically) {
+  // A decoded transaction's hash is sha256d of the bytes it came from
+  // only if decoding is injective: every mutant that decodes must
+  // re-serialize to exactly its own bytes.
+  Bytes Ser = sweepFixture().serialize();
+  ASSERT_EQ(Transaction::deserialize(Ser)->serialize(), Ser);
+  Rng Rand(1919);
+  int Decoded = 0, NonCanonical = 0;
+  std::string First;
+  for (int I = 0; I < 20000; ++I) {
+    Bytes Mutant = Ser;
+    size_t At = Rand.nextBelow(Mutant.size());
+    uint8_t Flip = static_cast<uint8_t>(1 + Rand.nextBelow(255));
+    Mutant[At] ^= Flip;
+    auto Back = Transaction::deserialize(Mutant);
+    if (!Back)
+      continue;
+    ++Decoded;
+    if (Back->serialize() != Mutant && NonCanonical++ == 0)
+      First = "byte " + std::to_string(At) + " xor " + std::to_string(Flip);
+  }
+  EXPECT_EQ(NonCanonical, 0) << "first: " << First;
+  // Amounts, txids, principals and key bytes decode when perturbed, so
+  // a good share of the sweep reaches the re-serialization check.
+  EXPECT_GT(Decoded, 5000);
+}
+
+TEST(OpenTransaction, TemplateDigestIsPinned) {
+  // One open input and one open output beside a closed one: the digest
+  // erases the holes (an empty owner, an empty source) and covers the
+  // rest of the template.
+  OpenTransaction Open;
+  Open.Template = sampleTx();
+  Output Closed;
+  Closed.Type = logic::pOne();
+  Closed.Amount = 600;
+  Closed.Owner = keyFromSeed(7).publicKey();
+  Open.Template.Outputs.push_back(Closed);
+  Open.OpenInput = 0;
+  Open.OpenOutput = 0;
+  EXPECT_EQ(toHex(Open.templateDigest()), "5aeba46276b5a7e90bf296fa365b5a8ac8467eecff818f5f14062927200103dc");
+  // Filling the holes does not move the digest of the template.
+  auto Filled = Open.fill(std::string(64, 'c'), 3, keyFromSeed(8).publicKey());
+  ASSERT_TRUE(Filled.hasValue());
+  OpenTransaction Refilled = Open;
+  Refilled.Template = *Filled;
+  EXPECT_EQ(Refilled.templateDigest(), Open.templateDigest());
 }
 
 TEST(TcTransaction, HashCoversEverything) {

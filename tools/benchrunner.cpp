@@ -120,8 +120,10 @@ Result<RunResult> runOne(const fs::path &Bin, const fs::path &TmpDir,
                     " " + shellQuote(Bin.string()) +
                     " --benchmark_out=" + shellQuote(BenchOut.string()) +
                     " --benchmark_out_format=json";
+  // A bare number of seconds: Google Benchmark 1.7 rejects the "s"
+  // suffix, and 1.8 still reads a bare number as seconds.
   if (Opt.Smoke)
-    Cmd += " --benchmark_min_time=0.01s";
+    Cmd += " --benchmark_min_time=0.01";
   // The figure benches print witnesses on stdout; keep that out of the
   // report but on disk for debugging.
   Cmd += " > " + shellQuote(Log.string()) + " 2>&1";
