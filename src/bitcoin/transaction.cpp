@@ -4,6 +4,7 @@
 
 #include "bitcoin/sigcache.h"
 #include "crypto/ecdsa.h"
+#include "obs/metrics.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -77,10 +78,14 @@ Result<Transaction> Transaction::deserialize(const Bytes &Data) {
 }
 
 TxId Transaction::txid() const {
+  // Digest-work counter: txids actually hashed, as opposed to served
+  // from the memo. The audit recompute below is not counted.
+  static obs::Counter &Computed = obs::counter("bitcoin.txid.computed");
   std::lock_guard<std::mutex> L(Cache.Mu);
   if (!Cache.HasId) {
     Cache.Id = TxId{crypto::sha256d(serialize())};
     Cache.HasId = true;
+    Computed.inc();
   }
 #ifdef TYPECOIN_AUDIT
   if (Cache.Id != TxId{crypto::sha256d(serialize())}) {
@@ -169,6 +174,9 @@ Result<crypto::Digest32> signatureHash(const Transaction &Tx,
       }
   }
   TC_UNWRAP(Digest, computeSignatureHash(Tx, InputIndex, ScriptCode, HashType));
+  // Digest-work counter: sighashes that missed the memo and were hashed.
+  static obs::Counter &Computed = obs::counter("bitcoin.sighash.computed");
+  Computed.inc();
   std::lock_guard<std::mutex> L(Tx.Cache.Mu);
   // A concurrent caller may have raced us to the same memo; a duplicate
   // entry is harmless (first match wins, values are equal).

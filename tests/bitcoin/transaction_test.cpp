@@ -3,6 +3,7 @@
 #include "bitcoin/transaction.h"
 
 #include "bitcoin/standard.h"
+#include "obs/metrics.h"
 #include "support/rng.h"
 
 #include <gtest/gtest.h>
@@ -78,6 +79,37 @@ TEST(Transaction, TxIdMemoSurvivesRepeatedCalls) {
   EXPECT_NE(Copy.txid(), Tx.txid());
   Copy = Tx;
   EXPECT_EQ(Copy.txid(), Tx.txid());
+}
+
+TEST(Transaction, DigestWorkCountersCountComputations) {
+  // bitcoin.txid.computed and bitcoin.sighash.computed count the hashes
+  // that fill a memo, not the calls: the oracle for how often a node
+  // recomputes a digest it already had.
+  obs::Counter &Txids = obs::counter("bitcoin.txid.computed");
+  obs::Counter &SigHashes = obs::counter("bitcoin.sighash.computed");
+  Transaction Tx = sampleTx();
+  Tx.Inputs.push_back(Tx.Inputs[0]);
+  Tx.Inputs[1].Prevout.Index = 4;
+
+  uint64_t T0 = Txids.value();
+  for (int I = 0; I < 3; ++I)
+    Tx.txid();
+  EXPECT_EQ(Txids.value() - T0, 1u);
+  // A copy starts with a cold memo.
+  Transaction Copy = Tx;
+  Copy.txid();
+  Copy.txid();
+  EXPECT_EQ(Txids.value() - T0, 2u);
+
+  Script Code = makeP2PKH(keyFromSeed(1).id());
+  uint64_t S0 = SigHashes.value();
+  ASSERT_TRUE(signatureHash(Tx, 0, Code, SIGHASH_ALL).hasValue());
+  ASSERT_TRUE(signatureHash(Tx, 0, Code, SIGHASH_ALL).hasValue());
+  EXPECT_EQ(SigHashes.value() - S0, 1u);
+  ASSERT_TRUE(signatureHash(Tx, 1, Code, SIGHASH_ALL).hasValue());
+  EXPECT_EQ(SigHashes.value() - S0, 2u);
+  // Computing sighashes hashed no txid.
+  EXPECT_EQ(Txids.value() - T0, 2u);
 }
 
 TEST(Transaction, CoinbaseDetection) {
