@@ -4,12 +4,14 @@
 // digest path (4a). Micro-benchmarks for the primitives every typecoin
 // transfer pays for:
 //
-//  * field multiplication (pseudo-Mersenne fold vs the Montgomery path
-//    the scalar ring still uses) and field squaring,
+//  * field multiplication and squaring on the 5x52-limb lazily reduced
+//    FieldElement, against the Montgomery multiply the scalar ring n
+//    uses,
 //  * scalar multiplication: comb/wNAF table paths against the retained
 //    naive double-and-add ladders,
-//  * doubleMultiply — the exact operation ecdsaVerify computes — table
-//    Straus vs the bitwise Shamir reference,
+//  * doubleMultiply — the ladder ecdsaVerify runs, which ecdsaVerify
+//    ends with a Jacobian x check instead of a conversion to affine —
+//    table Straus vs the bitwise Shamir reference,
 //  * ECDSA sign/verify end to end, compressed public-key parse (a
 //    Jacobi symbol) and decompression (the fixed square-root chain),
 //  * propDigest / propEqual on a shared-subterm depth-10 proposition
@@ -44,11 +46,11 @@ U256 randomScalar(Rng &R) {
 }
 
 void BM_FieldMul(benchmark::State &State) {
-  const ModArith &Fp = Secp256k1::instance().field();
   Rng R(7);
-  U256 A = Fp.reduce(randomScalar(R)), B = Fp.reduce(randomScalar(R));
+  FieldElement A = FieldElement::fromU256(randomScalar(R));
+  FieldElement B = FieldElement::fromU256(randomScalar(R));
   for (auto _ : State) {
-    A = Fp.montMul(A, B);
+    A = A * B;
     benchmark::DoNotOptimize(A);
   }
 }
@@ -57,19 +59,18 @@ BENCHMARK(BM_FieldMul);
 void BM_FieldSqr(benchmark::State &State) {
   // The square-root chain in Secp256k1::parse is 253 of these to 13
   // multiplies, so this row, not BM_FieldMul, sets its cost.
-  const ModArith &Fp = Secp256k1::instance().field();
   Rng R(7);
-  U256 A = Fp.reduce(randomScalar(R));
+  FieldElement A = FieldElement::fromU256(randomScalar(R));
   for (auto _ : State) {
-    A = Fp.montSqr(A);
+    A = A.sqr();
     benchmark::DoNotOptimize(A);
   }
 }
 BENCHMARK(BM_FieldSqr);
 
 void BM_ScalarOrderMul(benchmark::State &State) {
-  // The order ring n is not pseudo-Mersenne: this is the Montgomery
-  // baseline the field path is compared against.
+  // The order ring n runs on ModArith's Montgomery multiply: the
+  // baseline the 5x52 field rows are compared against.
   const ModArith &Fn = Secp256k1::instance().scalar();
   Rng R(8);
   U256 A = randomScalar(R), B = randomScalar(R);

@@ -155,10 +155,9 @@ bool ecdsaVerify(const AffinePoint &PubKey, const Digest32 &Hash,
   U256 W = Fn.inverse(Sig.S);
   U256 U1 = Fn.mul(Z, W);
   U256 U2 = Fn.mul(Sig.R, W);
-  AffinePoint P = Curve.doubleMultiply(U1, U2, PubKey);
-  if (P.Infinity)
-    return false;
-  return Fn.reduce(P.X) == Sig.R;
+  // Accept when u1*G + u2*P is finite and its x mod n is r, compared in
+  // Jacobian coordinates with no field inversion.
+  return Curve.doubleMultiplyHasX(U1, U2, PubKey, Sig.R);
 }
 
 } // namespace crypto

@@ -7,8 +7,9 @@
 /// \file
 /// From-scratch secp256k1 group arithmetic: y^2 = x^3 + 7 over the prime
 /// field p = 2^256 - 2^32 - 977. Jacobian-coordinate point arithmetic over
-/// pseudo-Mersenne field elements; affine conversion and SEC1 point
-/// serialization (compressed and uncompressed).
+/// 5x52-limb lazily reduced field elements (crypto/field.h), with
+/// libsecp256k1's doubling and mixed-addition formulas; affine conversion
+/// and SEC1 point serialization (compressed and uncompressed).
 ///
 /// Scalar multiplication is table-driven (ROADMAP item 4c):
 ///
@@ -40,6 +41,7 @@
 #ifndef TYPECOIN_CRYPTO_SECP256K1_H
 #define TYPECOIN_CRYPTO_SECP256K1_H
 
+#include "crypto/field.h"
 #include "crypto/u256.h"
 
 #include <optional>
@@ -81,8 +83,10 @@ public:
   /// sweep window widths; production code uses \ref instance.
   explicit Secp256k1(int CombWindowOverride = -1);
 
-  /// The curve's field arithmetic (mod p).
-  const ModArith &field() const { return Fp; }
+  /// The ModArith over p. Point arithmetic runs on FieldElement; this
+  /// object serves its inversions and Jacobi symbols, and is the tests'
+  /// reference arithmetic mod p.
+  const ModArith &field() const { return FieldElement::arith(); }
   /// The group-order arithmetic (mod n).
   const ModArith &scalar() const { return Fn; }
 
@@ -122,6 +126,14 @@ public:
   /// wNAF against odd multiples of P.
   AffinePoint doubleMultiply(const U256 &A, const U256 &B,
                              const AffinePoint &P) const;
+  /// The ECDSA check on a*G + b*P: true when the point is finite and its
+  /// x, reduced mod n, equals \p R. Runs the Straus ladder of
+  /// \ref doubleMultiply and compares in Jacobian coordinates, as
+  /// libsecp256k1's `gej_eq_x` does: x = X/Z^2 lies in [0, p), so
+  /// x mod n = R exactly when R*Z^2 = X, or when R + n < p and
+  /// (R + n)*Z^2 = X. No field inversion.
+  bool doubleMultiplyHasX(const U256 &A, const U256 &B, const AffinePoint &P,
+                          const U256 &R) const;
 
   /// Reference double-and-add ladder; the oracle for the property sweep
   /// and the "before" side of bench_t12.
@@ -144,17 +156,19 @@ public:
   static const Secp256k1 &instance();
 
 private:
-  /// Jacobian point with field-internal coordinates; Z == 0 encodes
-  /// infinity.
+  /// Jacobian point (X/Z^2, Y/Z^3). Magnitudes stay at X <= 4, Y <= 4,
+  /// Z <= 1 between operations, the bounds every formula below assumes.
   struct JacobianPoint {
-    U256 X, Y, Z;
+    FieldElement X, Y, Z;
+    bool Infinity = true;
   };
 
-  /// Precomputed table entry: an affine point in field-internal form
-  /// (never infinity), so additions against it use the cheap mixed
-  /// formulas.
-  struct MontAffine {
-    U256 X, Y;
+  /// Precomputed table entry: an affine point (never infinity), so
+  /// additions against it use the cheap mixed formulas. X is at
+  /// magnitude <= 4 and Y at magnitude 1, so negating an entry is one
+  /// `neg(1)`.
+  struct AffineFe {
+    FieldElement X, Y;
   };
 
   /// A scalar decomposed along the lambda endomorphism:
@@ -166,73 +180,78 @@ private:
   };
   SplitScalar splitLambda(const U256 &K) const;
   /// phi applied to a table entry: (beta*x, y), one field multiply.
-  MontAffine endoEntry(const MontAffine &P) const;
+  AffineFe endoEntry(const AffineFe &P) const;
   /// One Straus table lookup: add digit D (negated when \p Neg) from
   /// table \p T into \p Acc; no-op for D == 0.
   void strausAdd(JacobianPoint &Acc, int D, bool Neg,
-                 const std::vector<MontAffine> &T) const;
+                 const std::vector<AffineFe> &T) const;
   /// As \ref strausAdd, but rescales the (true-affine) entry onto the
   /// iso-curve of the per-call tables by Z2 = IsoZ^2, Z3 = IsoZ^3
   /// first: two extra field multiplies per addition in exchange for
   /// running the whole ladder inversion-free.
   void strausAddScaled(JacobianPoint &Acc, int D, bool Neg,
-                       const std::vector<MontAffine> &T, const U256 &Z2,
-                       const U256 &Z3) const;
+                       const std::vector<AffineFe> &T, const FieldElement &Z2,
+                       const FieldElement &Z3) const;
+  /// a*G + b*P on one Straus ladder, left in Jacobian coordinates. A and
+  /// B are reduced mod n; P is finite.
+  JacobianPoint strausLadder(const U256 &A, const U256 &B,
+                             const AffinePoint &P) const;
 
-  /// x^3 + 7, the curve's y^2 at \p X.
-  U256 curveRhs(const U256 &X) const {
-    return Fp.add(Fp.mul(Fp.mul(X, X), X), U256(7));
+  /// x^3 + 7, the curve's y^2 at \p X (magnitude 2).
+  static FieldElement curveRhs(const FieldElement &X) {
+    return X.sqr() * X + FieldElement(7);
   }
 
-  JacobianPoint toJacobian(const AffinePoint &P) const;
-  AffinePoint toAffine(const JacobianPoint &P) const;
-  JacobianPoint jacDouble(const JacobianPoint &P) const;
-  JacobianPoint jacAdd(const JacobianPoint &P, const JacobianPoint &Q) const;
-  /// Mixed addition P + Q with Q affine (Z2 = 1): saves ~5 field muls
-  /// over the general formula.
-  JacobianPoint jacAddMixed(const JacobianPoint &P, const MontAffine &Q) const;
-  /// As \ref jacAddMixed, additionally reporting the Z ratio
-  /// Z_out / Z_in in \p Zr. Requires P finite and P != +-Q (true for
-  /// the odd-multiple chains that use it).
-  JacobianPoint jacAddMixedZr(const JacobianPoint &P, const MontAffine &Q,
-                              U256 &Zr) const;
-  JacobianPoint jacMultiply(const U256 &K, const JacobianPoint &P) const;
-  MontAffine negateEntry(const MontAffine &P) const;
+  static JacobianPoint toJacobian(const AffinePoint &P);
+  static AffinePoint toAffine(const JacobianPoint &P);
+  /// libsecp256k1's `gej_double`: 3 multiplies, 4 squarings.
+  static JacobianPoint jacDouble(const JacobianPoint &P);
+  /// General addition (`gej_add_var`); table set-up and the naive
+  /// ladders use it.
+  static JacobianPoint jacAdd(const JacobianPoint &P, const JacobianPoint &Q);
+  /// Mixed addition P + Q with Q affine (`gej_add_ge_var`): 8 multiplies,
+  /// 3 squarings. With \p Zr, also reports the Z ratio Z_out / Z_in;
+  /// that requires P finite and P != +-Q (true for the odd-multiple
+  /// chains that ask for it).
+  static JacobianPoint jacAddMixed(const JacobianPoint &P, const AffineFe &Q,
+                                   FieldElement *Zr = nullptr);
+  static JacobianPoint jacMultiply(const U256 &K, const JacobianPoint &P);
+  static AffineFe negateEntry(const AffineFe &P);
 
-  /// Batch-convert Jacobian points to MontAffine with a single field
+  /// Batch-convert Jacobian points to table entries with a single field
   /// inversion (Montgomery's trick). No input may be infinity.
-  std::vector<MontAffine>
-  normalizeBatch(const std::vector<JacobianPoint> &Pts) const;
+  static std::vector<AffineFe>
+  normalizeBatch(const std::vector<JacobianPoint> &Pts);
   /// Odd multiples {1, 3, 5, ...}*P, Table.size() entries.
-  void oddMultiples(const JacobianPoint &P,
-                    std::vector<MontAffine> &Table) const;
+  static void oddMultiples(const JacobianPoint &P,
+                           std::vector<AffineFe> &Table);
   /// As \ref oddMultiples, but inversion-free: entries are affine on an
   /// isomorphic curve sharing one global denominator \p IsoZ. A ladder
   /// run against them yields the true point after multiplying the final
   /// accumulator's Z by IsoZ. \p P must be finite with Z = 1.
-  void oddMultiplesGlobalZ(const JacobianPoint &P,
-                           std::vector<MontAffine> &Table, U256 &IsoZ) const;
+  static void oddMultiplesGlobalZ(const JacobianPoint &P,
+                                  std::vector<AffineFe> &Table,
+                                  FieldElement &IsoZ);
   void buildTables();
 
-  ModArith Fp;
   ModArith Fn;
   U256 N;
   U256 HalfN;
+  U256 PMinusN; ///< p - n: an x below it has a second residue x + n < p.
   AffinePoint G;
-  U256 SevenMont; ///< Curve constant b = 7 in field-internal form.
 
-  U256 Lambda;   ///< Cube root of 1 mod n (scalar action of phi).
-  U256 Beta;     ///< Cube root of 1 mod p (x-coordinate action of phi).
-  U256 BetaMont; ///< beta in field-internal form.
+  U256 Lambda;          ///< Cube root of 1 mod n (scalar action of phi).
+  U256 Beta;            ///< Cube root of 1 mod p (x-coordinate action of phi).
+  FieldElement BetaFe;  ///< beta as a field element.
   /// Lattice constants for the lambda decomposition (libsecp256k1's
   /// basis): k2 = -(round(k*G1/2^384)*B1 + round(k*G2/2^384)*B2),
   /// k1 = k - k2*lambda. MinusB1/MinusB2 store -b1/-b2 mod n.
   U256 SplitG1, SplitG2, MinusB1, MinusB2;
 
   unsigned CombW = 0;          ///< Comb window width in bits; 0 = disabled.
-  std::vector<MontAffine> Comb; ///< [block][digit-1]: d * 2^(W*block) * G.
-  std::vector<MontAffine> GOdd; ///< Odd multiples of G for width-8 wNAF.
-  std::vector<MontAffine> GLamOdd; ///< phi(GOdd): odd multiples of phi(G).
+  std::vector<AffineFe> Comb; ///< [block][digit-1]: d * 2^(W*block) * G.
+  std::vector<AffineFe> GOdd; ///< Odd multiples of G for width-8 wNAF.
+  std::vector<AffineFe> GLamOdd; ///< phi(GOdd): odd multiples of phi(G).
 };
 
 } // namespace crypto

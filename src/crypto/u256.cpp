@@ -75,27 +75,15 @@ ModArith::ModArith(const U256 &Modulus) : M(Modulus) {
   Inv = negInverse64(M.Limbs[0]);
 
   // R mod M = 2^256 - M (valid because 2^255 <= M < 2^256).
-  RModM = U256::zero();
-  RModM.subInPlace(M); // Wraps: 2^256 - M.
+  MontOneV = U256::zero();
+  MontOneV.subInPlace(M); // Wraps: 2^256 - M.
 
   // RR = R * 2^256 mod M by doubling R mod M 256 times.
-  RR = RModM;
+  RR = MontOneV;
   for (int I = 0; I < 256; ++I) {
     uint64_t Carry = RR.addInPlace(RR);
     if (Carry || RR >= M)
       RR.subInPlace(M);
-  }
-
-  // Pseudo-Mersenne detection: when c = 2^256 - M fits a single limb
-  // (the secp256k1 field prime: c = 2^32 + 977), products reduce by
-  // folding the high half times c instead of Montgomery reduction, and
-  // values stay in plain representation.
-  if (RModM.bitLength() <= 64) {
-    Pseudo = true;
-    C64 = RModM.Limbs[0];
-    MontOneV = U256::one();
-  } else {
-    MontOneV = RModM;
   }
 }
 
@@ -148,8 +136,9 @@ U256 ModArith::pow(const U256 &Base, const U256 &Exp) const {
 
 U256 ModArith::inverse(const U256 &A) const {
   // Binary extended GCD (HAC 14.61): shift/add only, roughly 5x faster
-  // than the former Fermat exponentiation — this sits under every
-  // toAffine and under the s^-1 of each ECDSA operation.
+  // than a Fermat exponentiation. It sits under every toAffine and
+  // table normalization mod p, and under the s^-1 of each ECDSA
+  // operation mod n.
   assert(!A.isZero() && "inverse of zero");
   U256 U = reduce(A), V = M;
   U256 X1 = U256::one(), X2 = U256::zero();
