@@ -15,7 +15,10 @@
 ///
 /// `--smoke` caps per-benchmark time (CI's bench-smoke job); the merged
 /// report is written to `BENCH_<date>.json` in the current directory
-/// unless `--out` says otherwise. Any benchmark binary that fails to
+/// unless `--out` says otherwise. Its top-level `provenance` object says
+/// which build and host produced it: `git_rev` of the source tree
+/// (`unknown` outside git), `build_type`, `compiler`, `nproc`, and `env`,
+/// every `TYPECOIN_*` variable the caller set. Any benchmark binary that fails to
 /// run or emits malformed JSON fails the whole run (exit 1) — a bench
 /// report with silently missing rows would poison perf comparisons.
 ///
@@ -27,11 +30,15 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+
+extern char **environ;
 
 using namespace typecoin;
 namespace fs = std::filesystem;
@@ -169,6 +176,66 @@ std::string reportDate(const std::vector<RunResult> &Runs) {
   return "undated";
 }
 
+/// `git rev-parse HEAD` of the source tree, or "unknown" outside git.
+std::string gitRev() {
+  std::string Cmd = "git -C " + shellQuote(TYPECOIN_SOURCE_DIR) +
+                    " rev-parse HEAD 2>/dev/null";
+  FILE *Pipe = popen(Cmd.c_str(), "r");
+  if (!Pipe)
+    return "unknown";
+  std::array<char, 128> Buf{};
+  std::string Out;
+  while (std::fgets(Buf.data(), Buf.size(), Pipe))
+    Out += Buf.data();
+  int Rc = pclose(Pipe);
+  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
+    Out.pop_back();
+  return Rc == 0 && !Out.empty() ? Out : "unknown";
+}
+
+/// Which build and host produced a report.
+obs::Json provenance() {
+  obs::Json Env = obs::Json::object();
+  for (char **E = environ; *E; ++E) {
+    std::string Var = *E;
+    size_t Eq = Var.find('=');
+    if (Var.rfind("TYPECOIN_", 0) == 0 && Eq != std::string::npos)
+      Env.set(Var.substr(0, Eq), obs::Json(Var.substr(Eq + 1)));
+  }
+  obs::Json P = obs::Json::object();
+  P.set("git_rev", obs::Json(gitRev()));
+  P.set("build_type", obs::Json(TYPECOIN_BUILD_TYPE));
+  P.set("compiler", obs::Json(TYPECOIN_COMPILER));
+  P.set("nproc", obs::Json(static_cast<uint64_t>(
+                     std::thread::hardware_concurrency())));
+  P.set("env", std::move(Env));
+  return P;
+}
+
+/// A report's provenance object carries every field, with string values
+/// (`nproc` a positive number, `env` an object of strings).
+Status checkProvenance(const obs::Json &Report) {
+  const obs::Json *P = Report.get("provenance");
+  if (!P || !P->isObject())
+    return makeError("benchrunner: report has no provenance object");
+  for (const char *Key : {"git_rev", "build_type", "compiler"}) {
+    const obs::Json *V = P->get(Key);
+    if (!V || !V->isString() || V->str().empty())
+      return makeError(std::string("benchrunner: provenance.") + Key +
+                       " missing or empty");
+  }
+  const obs::Json *Nproc = P->get("nproc");
+  if (!Nproc || !Nproc->isNumber() || Nproc->asUint() == 0)
+    return makeError("benchrunner: provenance.nproc missing or zero");
+  const obs::Json *Env = P->get("env");
+  if (!Env || !Env->isObject())
+    return makeError("benchrunner: provenance.env missing");
+  for (const auto &[Name, Value] : Env->members())
+    if (Name.rfind("TYPECOIN_", 0) != 0 || !Value.isString())
+      return makeError("benchrunner: provenance.env holds " + Name);
+  return Status::success();
+}
+
 /// Validation-logic checks that do not need the (slow) bench binaries.
 int selftest() {
   auto MustFail = [](const char *Text, const char *What) {
@@ -205,6 +272,28 @@ int selftest() {
   if (reportDate(Runs) != "2026-08-06") {
     std::fprintf(stderr, "selftest: date extraction broken (got %s)\n",
                  reportDate(Runs).c_str());
+    return 1;
+  }
+  // A report carries its provenance, including the caller's knobs, and
+  // keeps it through a write and re-read.
+  setenv("TYPECOIN_SELFTEST_KNOB", "7", /*overwrite=*/1);
+  obs::Json Report = obs::Json::object();
+  Report.set("schema", obs::Json("typecoin-bench/1"));
+  Report.set("provenance", provenance());
+  auto Reread = obs::Json::parse(Report.dump(2));
+  if (!Reread || !checkProvenance(*Reread)) {
+    std::fprintf(stderr, "selftest: provenance rejected\n");
+    return 1;
+  }
+  const obs::Json *Knob =
+      Reread->get("provenance")->get("env")->get("TYPECOIN_SELFTEST_KNOB");
+  if (!Knob || Knob->str() != "7") {
+    std::fprintf(stderr, "selftest: provenance.env lost a TYPECOIN_ knob\n");
+    return 1;
+  }
+  auto Bare = obs::Json::parse("{\"schema\": \"typecoin-bench/1\"}");
+  if (!Bare || checkProvenance(*Bare)) {
+    std::fprintf(stderr, "selftest: report without provenance accepted\n");
     return 1;
   }
   std::printf("benchrunner selftest: ok\n");
@@ -276,6 +365,7 @@ int main(int Argc, char **Argv) {
   Report.set("schema", obs::Json("typecoin-bench/1"));
   Report.set("date", obs::Json(reportDate(Runs)));
   Report.set("smoke", obs::Json(Opt.Smoke));
+  Report.set("provenance", provenance());
   obs::Json RunsJson = obs::Json::array();
   for (RunResult &R : Runs) {
     obs::Json Entry = obs::Json::object();
