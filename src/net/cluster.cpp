@@ -2,21 +2,20 @@
 
 #include "net/cluster.h"
 
+#include "obs/metrics.h"
+
 namespace typecoin {
 namespace net {
 
-Cluster::Cluster(bitcoin::ChainParams Params, size_t NumNodes,
-                 uint64_t ChaosSeed, NetConfig Base)
-    : Clk(std::make_shared<VirtualClock>()),
-      Chaos(std::make_shared<ChaosState>(ChaosSeed)) {
+Cluster::Cluster(bitcoin::ChainParams ParamsIn, size_t NumNodes,
+                 uint64_t ChaosSeed, NetConfig BaseIn)
+    : Params(std::move(ParamsIn)), Base(std::move(BaseIn)),
+      Clk(std::make_shared<VirtualClock>()),
+      Chaos(std::make_shared<ChaosState>(ChaosSeed)), Disks(NumNodes),
+      Nodes(NumNodes) {
   Base.Seed ^= ChaosSeed;
-  for (size_t I = 0; I < NumNodes; ++I) {
-    auto Inner = Hub.open(addressOf(I));
-    auto Wrapped =
-        std::make_unique<ChaosTransport>(std::move(Inner), Chaos, *Clk);
-    Nodes.push_back(std::make_unique<NetNode>(Params, Base,
-                                              std::move(Wrapped), Clk));
-  }
+  for (size_t I = 0; I < NumNodes; ++I)
+    (void)boot(I); // An empty in-memory disk always opens.
   for (size_t I = 0; I < NumNodes; ++I)
     for (size_t J = I + 1; J < NumNodes; ++J)
       (void)Nodes[I]->connectTo(addressOf(J));
@@ -24,6 +23,14 @@ Cluster::Cluster(bitcoin::ChainParams Params, size_t NumNodes,
 }
 
 Cluster::~Cluster() = default;
+
+Status Cluster::boot(size_t I) {
+  auto Trans =
+      std::make_unique<ChaosTransport>(Hub.open(addressOf(I)), Chaos, *Clk);
+  Nodes[I] = std::make_unique<NetNode>(Params, Base, std::move(Trans), Clk);
+  TC_TRY(Nodes[I]->typecoin().openStore(Disks[I], "store"));
+  return Status::success();
+}
 
 // --- Chaos surface ------------------------------------------------------
 
@@ -57,10 +64,19 @@ void Cluster::heal() {
   resyncAll();
 }
 
-void Cluster::crash(size_t Node) { Nodes[Node]->crash(); }
+void Cluster::crash(size_t Node) {
+  static obs::Counter &Crashes = obs::counter("net.crash.count");
+  Crashes.inc();
+  Nodes[Node].reset();
+  Disks[Node].crash();
+}
 
 Status Cluster::restart(size_t Node) {
-  TC_TRY(Nodes[Node]->restart());
+  if (Nodes[Node])
+    return Status::success();
+  static obs::Counter &Restarts = obs::counter("net.restart.count");
+  Restarts.inc();
+  TC_TRY(boot(Node));
   reconnectMesh();
   resyncAll();
   return Status::success();
@@ -86,7 +102,8 @@ size_t Cluster::settle(size_t MaxRounds) {
     ++Rounds;
     size_t Progress = 0;
     for (auto &N : Nodes)
-      Progress += N->pump();
+      if (N)
+        Progress += N->pump();
     if (Progress > 0)
       continue;
     // Quiescent now — but jittered frames may still be scheduled.
@@ -103,7 +120,7 @@ void Cluster::advance(double Seconds) { Clk->advanceBy(Seconds); }
 bool Cluster::converged() const {
   std::optional<bitcoin::BlockHash> Tip;
   for (const auto &N : Nodes) {
-    if (N->isCrashed())
+    if (!N)
       continue;
     if (!Tip)
       Tip = N->chain().tipHash();
@@ -116,7 +133,7 @@ bool Cluster::converged() const {
 bool Cluster::convergedAmong(const std::vector<size_t> &Among) const {
   std::optional<bitcoin::BlockHash> Tip;
   for (size_t I : Among) {
-    if (Nodes[I]->isCrashed())
+    if (!Nodes[I])
       continue;
     if (!Tip)
       Tip = Nodes[I]->chain().tipHash();
@@ -130,15 +147,16 @@ bool Cluster::convergedAmong(const std::vector<size_t> &Among) const {
 
 void Cluster::resyncAll() {
   for (auto &N : Nodes)
-    N->resync();
+    if (N)
+      N->resync();
 }
 
 void Cluster::reconnectMesh() {
   for (size_t I = 0; I < Nodes.size(); ++I) {
-    if (Nodes[I]->isCrashed())
+    if (!Nodes[I])
       continue;
     for (size_t J = I + 1; J < Nodes.size(); ++J) {
-      if (Nodes[J]->isCrashed())
+      if (!Nodes[J])
         continue;
       if (Nodes[I]->connectedTo(addressOf(J)) ||
           Nodes[J]->connectedTo(addressOf(I)))

@@ -17,6 +17,12 @@
 /// whenever a round makes no progress. With a fixed seed the entire run
 /// — every drop, duplicate, and delivery order — replays identically.
 ///
+/// Each node owns a durable store on a \ref store::MemVfs the cluster
+/// attaches at construction (tc::Node::openStore). \ref crash destroys
+/// the node and cuts power to that disk, so only what was synced
+/// survives; \ref restart builds a new node on the same address and
+/// reopens the disk, the path a real restart takes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TYPECOIN_NET_CLUSTER_H
@@ -24,15 +30,16 @@
 
 #include "net/fault.h"
 #include "net/node.h"
+#include "store/vfs.h"
 
 namespace typecoin {
 namespace net {
 
 class Cluster {
 public:
-  /// Build \p NumNodes nodes ("node0", "node1", ...), mesh-connect
-  /// them, and settle the handshakes (fault plans start clean, so the
-  /// mesh always comes up).
+  /// Build \p NumNodes nodes ("node0", "node1", ...), attach each to
+  /// its own empty disk, mesh-connect them, and settle the handshakes
+  /// (fault plans start clean, so the mesh always comes up).
   Cluster(bitcoin::ChainParams Params, size_t NumNodes,
           uint64_t ChaosSeed = 0, NetConfig Base = NetConfig());
   ~Cluster();
@@ -65,10 +72,13 @@ public:
   /// across the cut, and re-sync both sides.
   void heal();
 
+  /// Destroy the node and cut power to its disk. Until \ref restart,
+  /// only isCrashed and restart may name the node.
   void crash(size_t Node);
-  bool isCrashed(size_t Node) const { return Nodes[Node]->isCrashed(); }
-  /// Recover the node and re-dial its mesh links; the handshake's
-  /// GetHeaders catches it up on what it missed.
+  bool isCrashed(size_t Node) const { return !Nodes[Node]; }
+  /// Build the node anew on its address, reopen its disk, and re-dial
+  /// its mesh links; the handshake's GetHeaders catches it up on what
+  /// it missed. A no-op for a live node.
   Status restart(size_t Node);
 
   // --- Traffic ----------------------------------------------------------
@@ -93,13 +103,19 @@ public:
   VirtualClock &clock() { return *Clk; }
 
 private:
+  /// Build node \p I on its address and open its disk.
+  Status boot(size_t I);
   void resyncAll();
   void reconnectMesh();
 
+  bitcoin::ChainParams Params;
+  NetConfig Base;
   LoopbackHub Hub;
   std::shared_ptr<VirtualClock> Clk;
   std::shared_ptr<ChaosState> Chaos;
-  std::vector<std::unique_ptr<NetNode>> Nodes;
+  /// Declared before the nodes, whose stores write to them.
+  std::vector<store::MemVfs> Disks;
+  std::vector<std::unique_ptr<NetNode>> Nodes; ///< nullptr while crashed.
 };
 
 } // namespace net

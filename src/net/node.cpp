@@ -71,8 +71,6 @@ struct NetMetrics {
   obs::Counter &Penalized = obs::counter("net.ban.penalized");
   obs::Counter &OrphanAdded = obs::counter("net.orphan.added");
   obs::Counter &OrphanEvicted = obs::counter("net.orphan.evicted");
-  obs::Counter &Crashes = obs::counter("net.crash.count");
-  obs::Counter &Restarts = obs::counter("net.restart.count");
 
   static NetMetrics &get() {
     static NetMetrics M;
@@ -126,8 +124,6 @@ NetNode::~NetNode() { stop(); }
 
 Result<uint64_t> NetNode::connectTo(const std::string &Addr) {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return makeError("net: node is crashed");
   if (BanScores.count(Addr) && BanScores.at(Addr) >= Cfg.BanThreshold)
     return makeError("net: peer is banned: " + Addr);
   TC_UNWRAP(C, Trans->connect(Addr));
@@ -267,8 +263,6 @@ void NetNode::reapLocked() {
 
 Status NetNode::submitTransaction(const bitcoin::Transaction &Tx) {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return makeError("net: node is crashed");
   TC_TRY(Tc->submitPlain(Tx));
   announceTxLocked(Tx, nullptr);
   return Status::success();
@@ -276,8 +270,6 @@ Status NetNode::submitTransaction(const bitcoin::Transaction &Tx) {
 
 Status NetNode::submitPair(const tc::Pair &P) {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return makeError("net: node is crashed");
   TC_TRY(Tc->submitPair(P));
   announceTxLocked(P.Btc, nullptr);
   return Status::success();
@@ -286,8 +278,6 @@ Status NetNode::submitPair(const tc::Pair &P) {
 Result<bitcoin::Block> NetNode::mine(const crypto::KeyId &Payout,
                                      uint32_t Time) {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return makeError("net: node is crashed");
   TC_TRY(Tc->mineBlock(Payout, Time));
   const bitcoin::Block *B = Tc->chain().blockByHash(Tc->chain().tipHash());
   announceBlockLocked(*B, nullptr);
@@ -298,8 +288,6 @@ Result<bitcoin::Block> NetNode::mine(const crypto::KeyId &Payout,
 
 size_t NetNode::pump() {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return 0;
   size_t N = acceptPendingLocked();
   // Snapshot: handlers never add peers, but reap-safety is cheap.
   std::vector<std::shared_ptr<Peer>> Ps;
@@ -414,8 +402,6 @@ void NetNode::timersLocked(double Now) {
 
 size_t NetNode::tick(double Now) {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return 0;
   timersLocked(Now);
   return Tc->tick(Now);
 }
@@ -477,19 +463,17 @@ void NetNode::acceptorLoop() {
     {
       std::lock_guard<std::mutex> Lock(NodeMu);
       reapThreadsLocked();
-      if (!Crashed) {
-        acceptPendingLocked();
-        // Serve peers without a dedicated thread, round-robin.
-        std::vector<std::shared_ptr<Peer>> Ps;
-        for (const auto &E : Peers)
-          if (!E.second->Dedicated)
-            Ps.push_back(E.second);
-        for (const auto &P : Ps)
-          drainPeerLocked(P);
-        timersLocked(Clk->now());
-        Tc->tick(Clk->now());
-        reapLocked();
-      }
+      acceptPendingLocked();
+      // Serve peers without a dedicated thread, round-robin.
+      std::vector<std::shared_ptr<Peer>> Ps;
+      for (const auto &E : Peers)
+        if (!E.second->Dedicated)
+          Ps.push_back(E.second);
+      for (const auto &P : Ps)
+        drainPeerLocked(P);
+      timersLocked(Clk->now());
+      Tc->tick(Clk->now());
+      reapLocked();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -521,36 +505,8 @@ void NetNode::peerLoop(std::shared_ptr<Peer> P) {
   ExitedThreads.push_back(std::this_thread::get_id());
 }
 
-// --- Crash / restart ----------------------------------------------------
-
-void NetNode::crash() {
-  std::lock_guard<std::mutex> Lock(NodeMu);
-  NetMetrics::get().Crashes.inc();
-  Crashed = true;
-  for (const auto &E : Peers)
-    disconnectLocked(*E.second, "crash");
-  Peers.clear();
-  Orphans.clear();
-  BlocksInFlight.clear();
-  // Volatile state is gone; the chain and the pair journal survive
-  // (restart() rebuilds the rest via tc::Node::recover).
-  Tc->mempool().clear();
-}
-
-Status NetNode::restart() {
-  std::lock_guard<std::mutex> Lock(NodeMu);
-  if (!Crashed)
-    return Status::success();
-  NetMetrics::get().Restarts.inc();
-  TC_TRY(Tc->recover());
-  Crashed = false;
-  return Status::success();
-}
-
 void NetNode::resync() {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return;
   const bitcoin::Block *Tip = Tc->chain().blockByHash(Tc->chain().tipHash());
   InvItem TipInv = invBlock(Tip->hash());
   for (const auto &E : Peers) {

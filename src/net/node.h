@@ -34,6 +34,11 @@
 /// relay disconnects and bans the sender (by address, refusing future
 /// dials).
 ///
+/// A crash is the node's destruction: its connections close and its
+/// volatile state goes with it. A restart is a new NetNode on the same
+/// address whose tc::Node reopens its store (tc::Node::openStore); the
+/// handshake's GetHeaders then catches it up on what it missed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TYPECOIN_NET_NODE_H
@@ -167,18 +172,6 @@ public:
   /// pumped mode from pump().
   size_t tick(double Now);
 
-  // --- Crash / restart --------------------------------------------------
-
-  /// Crash: drop every connection and all volatile state (mempool,
-  /// pending queue, orphans). The chain and the pair journal survive,
-  /// standing in for the on-disk block store and journal.
-  void crash();
-  bool isCrashed() const { return Crashed; }
-  /// Recover volatile state from the surviving chain + journal
-  /// (tc::Node::recover) and come back up. The caller re-dials peers;
-  /// the handshake's GetHeaders catches the node up on missed blocks.
-  Status restart();
-
   /// Re-announce our tip and re-request headers on every ready peer —
   /// the recovery nudge after a partition heals or fault plans clear
   /// (lost announcements never retransmit themselves).
@@ -260,8 +253,6 @@ private:
   uint64_t NextOrphanSeq = 0;
   /// Blocks requested from any peer (suppresses duplicate GetData).
   std::set<bitcoin::BlockHash> BlocksInFlight;
-  double LastTick = 0;
-  bool Crashed = false;
 
   std::atomic<bool> Running{false};
   std::vector<std::thread> Threads;

@@ -262,9 +262,9 @@ Status Node::adoptConfirmedPair(const Pair &P) {
   Adopted.inc();
   // The incremental scan frontier is already past the carrier's block:
   // rebuild the Typecoin view from the chain so the adopted pair
-  // registers (or lands back in the resubmission queue if its carrier
-  // has not matured to registration depth yet).
-  if (auto R = rebuildVolatileState(); !R)
+  // registers (or joins the resubmission queue if its carrier has not
+  // matured to registration depth yet).
+  if (auto R = rebuildFromGenesis(); !R)
     return R.takeError().withContext("late adoption rebuild");
   return Status::success();
 }
@@ -274,8 +274,6 @@ Status Node::submitPlain(const bitcoin::Transaction &Btc) {
 }
 
 Result<std::vector<std::string>> Node::syncRegistrations() {
-  int End = Chain.height() - RegistrationDepth + 1;
-
   // Deep-reorg detection: the scan frontier or any registration's block
   // is no longer on the best chain. Shallow reorgs (entirely above the
   // frontier) never trip this — matured history is stable by
@@ -295,49 +293,49 @@ Result<std::vector<std::string>> Node::syncRegistrations() {
       }
     }
 
-  std::vector<std::string> Spoiled;
   if (Diverged) {
     // Rewritten history: rather than patching state whose premises are
     // gone, rebuild the whole Typecoin view from genesis against the
-    // new best chain. Anything whose carrier fell out of the chain goes
-    // back to pending for resubmission.
+    // new best chain.
     static obs::Counter &DeepReorgs = obs::counter("node.deep_reorg.count");
     DeepReorgs.inc();
-    obs::Span Trace("node.replayChain");
-    TC_UNWRAP(R, replayChain(Chain, Journal, RegistrationDepth));
-    TcState = std::move(R.TcState);
-    Registered = std::move(R.Registered);
-    Spoiled = std::move(R.SpoiledTxids);
-    Pool.revalidate(Chain);
-  } else if (End > LastScannedHeight) {
+    return rebuildFromGenesis();
+  }
+  std::vector<std::string> Spoiled;
+  int End = Chain.height() - RegistrationDepth + 1;
+  if (End > LastScannedHeight) {
     TC_UNWRAP(S, scanRange(Chain, Journal, TcState, Registered,
                            LastScannedHeight + 1, End));
     Spoiled = std::move(S);
   }
+  advanceFrontier();
+  return Spoiled;
+}
 
-  // Advance the frontier and reconcile the pending queue with what is
-  // now registered (or no longer is).
-  if (End >= 1) {
-    if (auto H = Chain.blockHashAt(End)) {
-      LastScannedHeight = End;
-      LastScannedHash = *H;
-    }
-  } else {
-    LastScannedHeight = 0;
-  }
+Result<std::vector<std::string>> Node::rebuildFromGenesis() {
+  obs::Span Trace("node.replayChain");
+  TC_UNWRAP(R, replayChain(Chain, Journal, RegistrationDepth));
+  TcState = std::move(R.TcState);
+  Registered = std::move(R.Registered);
+  advanceFrontier();
+  // A journaled pair whose carrier is not on the best chain (it fell
+  // out in a reorg, or it was never queued here) is eligible for
+  // resubmission at the next tick; queued pairs keep their schedules.
+  for (const auto &[Payload, P] : Journal)
+    if (!Registered.count(Payload) && !Pending.count(Payload))
+      Pending[Payload] = PendingCarrier{P};
+#ifdef TYPECOIN_AUDIT
+  TC_TRY(analysis::auditState(TcState));
+#endif
+  return std::move(R.SpoiledTxids);
+}
+
+void Node::advanceFrontier() {
+  int End = Chain.height() - RegistrationDepth + 1;
+  LastScannedHeight = std::max(End, 0);
+  LastScannedHash = End >= 1 ? *Chain.blockHashAt(End) : bitcoin::BlockHash{};
   for (const auto &[Payload, Reg] : Registered)
     Pending.erase(Payload);
-  if (Diverged)
-    for (const auto &[Payload, P] : Journal) {
-      if (Registered.count(Payload) || Pending.count(Payload))
-        continue;
-      PendingCarrier PC;
-      PC.P = P;
-      PC.Attempts = 0;
-      PC.NextRetryTime = 0; // Eligible at the next tick.
-      Pending[Payload] = std::move(PC);
-    }
-  return Spoiled;
 }
 
 Result<std::vector<std::string>>
@@ -364,72 +362,6 @@ Result<std::vector<std::string>> Node::submitBlock(const bitcoin::Block &B) {
   TC_TRY(analysis::auditState(TcState));
 #endif
   return Spoiled;
-}
-
-Result<Node::RecoverStats> Node::recover() {
-  static obs::Counter &Runs = obs::counter("node.recover.runs");
-  Runs.inc();
-  return rebuildVolatileState();
-}
-
-Result<Node::RecoverStats> Node::rebuildVolatileState() {
-  static obs::Counter &RegisteredC = obs::counter("node.recover.registered");
-  static obs::Counter &RequeuedC = obs::counter("node.recover.requeued");
-  static obs::Counter &ReadmittedC =
-      obs::counter("node.recover.mempool_readmitted");
-  static obs::Histogram &RecoverNs =
-      obs::latencyHistogram("node.recover_ns");
-  obs::ScopedTimer Timer(RecoverNs);
-  obs::Span Trace("node.recover");
-
-  RecoverStats Stats;
-  Stats.JournalSize = Journal.size();
-
-  // Volatile state is gone: the mempool, the pending queue, and every
-  // in-memory Typecoin index. The chain (block store) and the pair
-  // journal are the durable inputs; rebuild everything from them.
-  Stats.MempoolDropped = Pool.clear();
-  Pending.clear();
-  Registered.clear();
-  TcState = State();
-  LastScannedHeight = 0;
-  LastScannedHash = bitcoin::BlockHash{};
-
-  TC_UNWRAP(R, replayChain(Chain, Journal, RegistrationDepth));
-  TcState = std::move(R.TcState);
-  Registered = std::move(R.Registered);
-  int End = Chain.height() - RegistrationDepth + 1;
-  if (End >= 1) {
-    if (auto H = Chain.blockHashAt(End)) {
-      LastScannedHeight = End;
-      LastScannedHash = *H;
-    }
-  }
-  Stats.Registered = Registered.size();
-
-  // Unconfirmed journal entries go back into the mempool (best effort —
-  // their inputs may have been spent while we were down) and the
-  // resubmission queue.
-  for (const auto &[Payload, P] : Journal) {
-    if (Registered.count(Payload))
-      continue;
-    if (Pool.acceptTransaction(P.Btc, Chain))
-      ++Stats.MempoolReadmitted;
-    PendingCarrier PC;
-    PC.P = P;
-    PC.Attempts = 0;
-    PC.NextRetryTime = 0;
-    Pending[Payload] = std::move(PC);
-    ++Stats.Requeued;
-  }
-  RegisteredC.inc(Stats.Registered);
-  RequeuedC.inc(Stats.Requeued);
-  ReadmittedC.inc(Stats.MempoolReadmitted);
-#ifdef TYPECOIN_AUDIT
-  TC_TRY(analysis::auditMempool(Pool, Chain));
-  TC_TRY(analysis::auditState(TcState));
-#endif
-  return Stats;
 }
 
 size_t Node::tick(double Now) {
@@ -645,9 +577,33 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
       RestorePair(Rec.Key, Rec.Payload);
   Stats.JournalRestored = Journal.size();
 
-  // Volatile state rebuilds exactly as in recover().
-  TC_UNWRAP(Rebuild, rebuildVolatileState());
-  Stats.Rebuild = Rebuild;
+  // Start-up: the from-genesis rebuild, then the unconfirmed carriers
+  // back into the empty mempool (best effort — their inputs may have
+  // been spent while the node was down).
+  {
+    static obs::Counter &RegisteredC =
+        obs::counter("node.recover.registered");
+    static obs::Counter &RequeuedC = obs::counter("node.recover.requeued");
+    static obs::Counter &ReadmittedC =
+        obs::counter("node.recover.mempool_readmitted");
+    static obs::Histogram &RecoverNs =
+        obs::latencyHistogram("node.recover_ns");
+    obs::ScopedTimer Timer(RecoverNs);
+    obs::Span Trace("node.recover");
+    RecoverStats &R = Stats.Rebuild;
+    R.JournalSize = Journal.size();
+    R.MempoolDropped = Pool.clear();
+    Pending.clear();
+    TC_TRY(rebuildFromGenesis());
+    R.Registered = Registered.size();
+    R.Requeued = Pending.size();
+    for (const auto &[Payload, PC] : Pending)
+      if (Pool.acceptTransaction(PC.P.Btc, Chain))
+        ++R.MempoolReadmitted;
+    RegisteredC.inc(R.Registered);
+    RequeuedC.inc(R.Requeued);
+    ReadmittedC.inc(R.MempoolReadmitted);
+  }
   updateStoreGauges();
   return Stats;
 }

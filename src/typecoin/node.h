@@ -22,10 +22,11 @@
 ///    that rewrites scanned history is detected and answered by
 ///    rebuilding the Typecoin state from genesis via \ref replayChain,
 ///    never by silently diverging.
-///  * Submitted pairs persist in a journal (the simulated disk). After a
-///    crash, \ref recover rebuilds mempool-independent state from the
-///    chain + journal; unconfirmed pairs re-enter the resubmission
-///    queue, which \ref tick drains with bounded exponential backoff.
+///  * Submitted pairs persist in a journal, WAL-durable once a store is
+///    attached (\ref openStore). A restarted node reopens its store and
+///    rebuilds from the chain + journal on disk; unconfirmed pairs
+///    re-enter the mempool and the resubmission queue, which \ref tick
+///    drains with bounded exponential backoff.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,8 +87,7 @@ struct Registration {
   int Height = 0;
 };
 
-/// Everything submitted through a node, keyed by payload hash — the
-/// simulated durable store that survives a crash.
+/// Everything submitted through a node, keyed by payload hash.
 using PairJournal = std::map<std::string, Pair>;
 
 /// Resubmission backoff for pairs whose carriers have not confirmed.
@@ -114,8 +114,8 @@ double retryDelay(const RetryPolicy &Policy, int Attempts,
 
 /// Rebuilt-from-genesis Typecoin view of a chain: scan every matured
 /// block for carriers of journaled pairs and register them in chain
-/// order. This is the recovery path (crash restart, deep reorg) and the
-/// cross-check for incremental registration.
+/// order. This is the rebuild a deep reorg, late adoption and start-up
+/// run, and the cross-check for incremental registration.
 struct ReplayResult {
   State TcState;
   std::map<std::string, Registration> Registered; ///< By payload hash.
@@ -171,26 +171,18 @@ public:
   /// from-genesis rebuild. Returns newly-spoiled txids.
   Result<std::vector<std::string>> submitBlock(const bitcoin::Block &B);
 
-  // --- Crash / recovery -------------------------------------------------
+  // --- Durable store ----------------------------------------------------
 
-  /// What \ref recover rebuilt, so operators (and the `node.recover.*`
-  /// obs counters) can see exactly how much state a crash cost.
+  /// What the start-up rebuild of \ref openStore restored, so operators
+  /// (and the `node.recover.*` obs counters) can see exactly how much
+  /// state a restart recovered.
   struct RecoverStats {
     size_t JournalSize = 0;        ///< Durable pairs that survived.
     size_t Registered = 0;         ///< Re-registered from the chain.
     size_t Requeued = 0;           ///< Back in the resubmission queue.
     size_t MempoolReadmitted = 0;  ///< Unconfirmed carriers re-admitted.
-    size_t MempoolDropped = 0;     ///< Pool entries lost in the crash.
+    size_t MempoolDropped = 0;     ///< Pool entries the start-up dropped.
   };
-
-  /// Recover after a crash that lost all volatile state (mempool,
-  /// pending queue, Typecoin indices). Only the chain and the pair
-  /// journal survive; everything else is rebuilt from them. Unconfirmed
-  /// journal pairs re-enter the mempool and the resubmission queue.
-  /// Returns counts of everything rebuilt (mirrored on obs counters).
-  Result<RecoverStats> recover();
-
-  // --- Durable store ----------------------------------------------------
 
   /// What \ref openStore found and rebuilt.
   struct StoreRecoverStats {
@@ -204,7 +196,7 @@ public:
     bool DigestMismatch = false;   ///< Snapshot UTXO digest cross-check
                                    ///< failed; fell back to full
                                    ///< validation.
-    RecoverStats Rebuild;          ///< The volatile-state rebuild.
+    RecoverStats Rebuild;          ///< The start-up rebuild.
   };
 
   /// Attach a durable chainstate store at \p Dir (see store/
@@ -212,12 +204,13 @@ public:
   /// rebuilds from disk: blocks replay through the validated connect
   /// path (script checks skipped up to the last durable epoch's tip,
   /// whose UTXO digest is cross-checked), the registration journal is
-  /// restored from the snapshot plus the WAL, and volatile state is
-  /// rebuilt as in \ref recover. When the store is empty, the node's
-  /// current in-memory state seeds it (from-genesis bootstrap). After
-  /// this call every accepted pair is WAL-durable before submitPair
-  /// returns, and every \p EpochInterval persisted blocks trigger a
-  /// flush epoch. The Vfs must outlive the node.
+  /// restored from the snapshot plus the WAL, the Typecoin state is
+  /// rebuilt from genesis, and unconfirmed journaled carriers re-enter
+  /// the mempool and the resubmission queue. When the store is empty,
+  /// the node's current in-memory state seeds it (from-genesis
+  /// bootstrap). After this call every accepted pair is WAL-durable
+  /// before submitPair returns, and every \p EpochInterval persisted
+  /// blocks trigger a flush epoch. The Vfs must outlive the node.
   Result<StoreRecoverStats> openStore(store::Vfs &V, const std::string &Dir,
                                       uint64_t EpochInterval = 8);
 
@@ -292,9 +285,16 @@ private:
   double backoffDelay(int Attempts,
                       const std::string &JitterKey = std::string()) const;
 
-  /// The shared rebuild of volatile state from (Chain, Journal) —
-  /// recover()'s body, also run by openStore after a disk replay.
-  Result<RecoverStats> rebuildVolatileState();
+  /// The one from-genesis rebuild, run on a deep reorg, a late
+  /// adoption and at start-up: \ref replayChain over (Chain, Journal),
+  /// the scan frontier moved to the matured tip, and journaled pairs
+  /// that are neither registered nor pending queued for resubmission.
+  /// Queued pairs keep their schedules; the mempool is left alone.
+  /// Returns newly-spoiled txids.
+  Result<std::vector<std::string>> rebuildFromGenesis();
+  /// Move the scan frontier to the matured tip and drop registered
+  /// pairs from the pending queue.
+  void advanceFrontier();
   /// Write \p B through to the block log and run the epoch trigger.
   void persistBlock(const bitcoin::Block &B);
   /// Refresh the store.* obs gauges.
@@ -305,7 +305,7 @@ private:
   State TcState;
   int RegistrationDepth;
 
-  PairJournal Journal; ///< Durable; survives crash (see \ref recover).
+  PairJournal Journal; ///< WAL-durable once a store is attached.
   std::map<std::string, PendingCarrier> Pending; ///< By payload hash.
   std::map<std::string, Registration> Registered; ///< By payload hash.
   /// Scan frontier: the highest matured height already scanned, and the

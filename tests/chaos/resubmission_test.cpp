@@ -145,6 +145,58 @@ TEST_F(Resubmission, TickFollowsExponentialBackoffAndGivesUp) {
   EXPECT_EQ(Node.tick(static_cast<double>(Node.now()) + 1000), 0u);
 }
 
+TEST_F(Resubmission, LateAdoptionKeepsMempoolAndRetrySchedule) {
+  // P2's carrier confirms in a block this node never journaled.
+  auto P2 = buildGrantPair(Alice, "late", Alice.pub(), Node.chain());
+  ASSERT_TRUE(P2.hasValue()) << P2.error().message();
+  Clock += 600;
+  ASSERT_TRUE(Node.submitBlock(mineOn(Node.chain(), Node.chain().tipHash(),
+                                      crypto::KeyId{}, Clock, {P2->Btc}))
+                  .hasValue());
+
+  // A pending pair at its first attempt, and a plain transaction
+  // spending a coin neither carrier uses.
+  auto P1 = buildGrantPair(Alice, "queued", Alice.pub(), Node.chain());
+  ASSERT_TRUE(P1.hasValue()) << P1.error().message();
+  ASSERT_TRUE(Node.submitPair(*P1).hasValue());
+  std::string Key1 = tc::payloadKey(*P1);
+  ASSERT_EQ(Node.attemptsOf(Key1), 1);
+  bitcoin::Transaction Plain;
+  for (const auto &S : Alice.Wallet.findSpendable(Node.chain())) {
+    bool UsedByP1 = false;
+    for (const bitcoin::TxIn &In : P1->Btc.Inputs)
+      UsedByP1 |= In.Prevout == S.Point;
+    if (UsedByP1)
+      continue;
+    Plain.Inputs.push_back(bitcoin::TxIn{S.Point, {}});
+    Plain.Outputs.push_back(
+        bitcoin::TxOut{S.Value - 10000, bitcoin::makeP2PKH(Alice.id())});
+    break;
+  }
+  ASSERT_FALSE(Plain.Inputs.empty());
+  ASSERT_TRUE(Alice.Wallet.signTransaction(Plain, Node.chain()).hasValue());
+  ASSERT_TRUE(Node.submitPlain(Plain).hasValue());
+  ASSERT_EQ(Node.mempool().size(), 2u);
+
+  auto Before = obs::Registry::instance().snapshot();
+  ASSERT_TRUE(Node.submitPair(*P2).hasValue());
+  auto After = obs::Registry::instance().snapshot();
+
+  // The adoption registers P2 and touches nothing else: the pool keeps
+  // both entries, P1 keeps its schedule, and no start-up ran.
+  EXPECT_TRUE(Node.isRegistered(tc::payloadKey(*P2)));
+  EXPECT_TRUE(Node.mempool().contains(Plain.txid()));
+  EXPECT_EQ(Node.mempool().size(), 2u);
+  EXPECT_EQ(Node.attemptsOf(Key1), 1);
+  for (const char *Name :
+       {"mempool.clear.dropped", "node.recover.registered",
+        "node.recover.requeued", "node.recover.mempool_readmitted"})
+    EXPECT_EQ(After.counter(Name), Before.counter(Name)) << Name;
+  EXPECT_EQ(After.counter("node.submit.late_adopted") -
+                Before.counter("node.submit.late_adopted"),
+            1u);
+}
+
 TEST_F(Resubmission, BatchServerDefersWriteThroughUntilFunded) {
   announce("batch-deferred-writethrough", 0, "unfunded then funded");
   services::BatchServer Server(Node, 9101);

@@ -5,7 +5,8 @@
 // convergence after lossy links heal, idempotent and accounted
 // duplicate delivery, reordering absorbed by the orphan pool, bounded
 // orphans, invalid-block relayers banned, crash/restart recovering the
-// chain while losing the mempool, and a carrier malleated in flight
+// chain while losing the mempool, a restart that rebuilds a node from
+// its disk's epoch and WAL, and a carrier malleated in flight
 // (Andrychowicz et al.) still registering its payload.
 //
 //===----------------------------------------------------------------------===//
@@ -15,6 +16,7 @@
 #include "analysis/audit.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
+#include "store/chainstore.h"
 
 #include <gtest/gtest.h>
 
@@ -381,6 +383,80 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
     EXPECT_EQ(HIt->second.Out.Value, Coin.Out.Value);
     ++HIt;
   }
+}
+
+TEST(NetChaosParity, CrashAfterEpochReplaysDiskAndRegistersWalPair) {
+  announce("net-crash-after-epoch", 14,
+           "drop-all while a pair is submitted; crash(1)");
+  Cluster C(testParams(), 3, 14, quietTimers());
+  Actor Alice(4001);
+  double Clock = 0;
+
+  // Nine blocks at node 1: the eighth closes a store epoch, the ninth
+  // stays in the unsynced tail of the block log.
+  for (int I = 0; I < 9; ++I) {
+    Clock += 600;
+    ASSERT_TRUE(C.mineAt(1, Alice.id(), Clock).hasValue());
+  }
+  C.settle();
+  const store::EpochData *Epoch = C.node(1).typecoin().store()->epoch();
+  ASSERT_NE(Epoch, nullptr);
+  const int EpochTip = static_cast<int>(Epoch->TipHeight);
+  ASSERT_GT(EpochTip, 0);
+  ASSERT_LT(EpochTip, C.chain(1).height());
+
+  // A pair kept local to node 1: its WAL record is durable, its carrier
+  // never left the node.
+  FaultPlan DropAll;
+  DropAll.Drop = 1.0;
+  C.setDefaultFault(DropAll);
+  auto P = buildGrantPair(Alice, "walpair", Alice.pub(), C.chain(1));
+  ASSERT_TRUE(P.hasValue()) << P.error().message();
+  ASSERT_TRUE(C.node(1).submitPair(*P).hasValue());
+  C.settle();
+  C.clearFaults();
+  C.settle();
+  const std::string Key = tc::payloadKey(*P);
+  ASSERT_FALSE(C.mempool(0).contains(P->Btc.txid()));
+
+  auto Snap0 = obs::Registry::instance().snapshot();
+  C.crash(1);
+  for (int I = 0; I < 2; ++I) {
+    Clock += 600;
+    ASSERT_TRUE(C.mineAt(0, Alice.id(), Clock).hasValue());
+    C.settle();
+  }
+  ASSERT_TRUE(C.restart(1).hasValue());
+  auto Snap1 = obs::Registry::instance().snapshot();
+  EXPECT_EQ(delta(Snap0, Snap1, "store.recover.from_disk"), 1u);
+  EXPECT_EQ(delta(Snap0, Snap1, "net.restart.count"), 1u);
+
+  // Before any message moves, the disk alone decides: the chain is the
+  // epoch's, and the journal holds the pair from the WAL.
+  const tc::Node &Node1 = C.node(1).typecoin();
+  EXPECT_EQ(C.chain(1).height(), EpochTip);
+  EXPECT_EQ(Node1.journal().count(Key), 1u);
+  EXPECT_FALSE(Node1.isRegistered(Key));
+
+  // Catch up, let the retry queue re-offer the carrier, and mine it.
+  C.settle();
+  C.advance(60);
+  C.settle();
+  ASSERT_TRUE(C.mempool(1).contains(P->Btc.txid()));
+  Clock += 600;
+  ASSERT_TRUE(C.mineAt(1, Alice.id(), Clock).hasValue());
+  C.settle();
+  auto Snap2 = obs::Registry::instance().snapshot();
+  EXPECT_TRUE(C.converged());
+  ASSERT_TRUE(Node1.isRegistered(Key));
+  EXPECT_EQ(Node1.registrationOf(Key)->TxidHex, P->Btc.txid().toHex());
+  EXPECT_EQ(delta(Snap1, Snap2, "checker.registered"), 1u);
+  EXPECT_EQ(Node1.pendingCount(), 0u);
+
+  auto Replayed = tc::replayChain(Node1.chain(), Node1.journal(),
+                                  Node1.registrationDepth());
+  ASSERT_TRUE(Replayed.hasValue()) << Replayed.error().message();
+  EXPECT_EQ(Node1.state().fingerprint(), Replayed->TcState.fingerprint());
 }
 
 } // namespace

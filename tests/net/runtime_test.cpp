@@ -3,9 +3,10 @@
 // The NetNode runtime around a single concern at a time: handshake
 // completion, self-connection rejection, liveness pings and their
 // timeout, banning on corrupt frame streams, transaction gossip with
-// known-inventory dedup, crash/restart under the default timers, and a
-// threaded-mode smoke test (the TSan CI job runs this suite with real
-// threads).
+// known-inventory dedup, crash/restart under the default timers, and
+// threaded-mode tests — relay, and a node destroyed and rebuilt from its
+// disk while its peer's threads run (the TSan CI job runs this suite
+// with real threads).
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 
 #include "bitcoin/script.h"
 #include "obs/metrics.h"
+#include "store/vfs.h"
 #include "support/rng.h"
 
 #include <gtest/gtest.h>
@@ -290,6 +292,49 @@ TEST(NetRuntime, ThreadedModeRelaysBlocksAndStopsCleanly) {
   A.stop();
   B.stop();
   EXPECT_TRUE(A.chain().tipHash() == B.chain().tipHash());
+}
+
+TEST(NetRuntime, ThreadedNodeRestartsFromItsDisk) {
+  // A dies and comes back while B's acceptor and peer threads keep
+  // running: TSan sees the teardown, the disk reopen and the redial.
+  LoopbackHub Hub;
+  auto Clk = std::make_shared<SteadyClock>();
+  NetConfig Cfg;
+  Cfg.Seed = 8;
+  store::MemVfs Disk;
+  auto A = std::make_unique<NetNode>(testParams(), Cfg, Hub.open("a"), Clk);
+  ASSERT_TRUE(A->typecoin().openStore(Disk, "store").hasValue());
+  NetNode B(testParams(), Cfg, Hub.open("b"), Clk);
+  A->start(netThreadsFromEnv());
+  B.start(netThreadsFromEnv());
+  ASSERT_TRUE(A->connectTo("b").hasValue());
+
+  auto WaitFor = [](auto Cond) {
+    for (int I = 0; I < 1000 && !Cond(); ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return Cond();
+  };
+  // Nine blocks: the eighth closes a store epoch (synced), the ninth
+  // stays in the unsynced block log tail.
+  auto Miner = keyFromSeed(26);
+  for (uint32_t I = 1; I <= 9; ++I)
+    ASSERT_TRUE(A->mine(Miner.id(), 600 * I).hasValue());
+  ASSERT_TRUE(WaitFor([&] { return B.chainHeight() == 9; }));
+
+  A.reset();
+  Disk.crash();
+  A = std::make_unique<NetNode>(testParams(), Cfg, Hub.open("a"), Clk);
+  auto Opened = A->typecoin().openStore(Disk, "store");
+  ASSERT_TRUE(Opened.hasValue()) << Opened.error().message();
+  EXPECT_TRUE(Opened->FromDisk);
+  EXPECT_EQ(A->chainHeight(), 8);
+
+  A->start(netThreadsFromEnv());
+  ASSERT_TRUE(A->connectTo("b").hasValue());
+  EXPECT_TRUE(WaitFor([&] { return A->chainHeight() == 9; }));
+  A->stop();
+  B.stop();
+  EXPECT_TRUE(A->chain().tipHash() == B.chain().tipHash());
 }
 
 } // namespace

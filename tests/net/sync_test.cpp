@@ -82,27 +82,27 @@ TEST(NetSync, DisconnectReleasesQueuedBodiesForOtherPeers) {
   auto Clk = std::make_shared<VirtualClock>();
   NetConfig Cfg;
   Cfg.Seed = 15;
-  NetNode A(testParams(), Cfg, Hub.open("a"), Clk);
+  auto A = std::make_unique<NetNode>(testParams(), Cfg, Hub.open("a"), Clk);
   auto Miner = keyFromSeed(36);
   for (int I = 1; I <= 30; ++I)
-    ASSERT_TRUE(A.mine(Miner.id(), 600u * I).hasValue()) << I;
+    ASSERT_TRUE(A->mine(Miner.id(), 600u * I).hasValue()) << I;
 
   // A second fully-synced seed node.
   NetNode S(testParams(), Cfg, Hub.open("s"), Clk);
   ASSERT_TRUE(S.connectTo("a").hasValue());
-  while (A.pump() + S.pump() > 0)
+  while (A->pump() + S.pump() > 0)
     ;
   ASSERT_EQ(S.chain().height(), 30);
 
   NetNode B(testParams(), Cfg, Hub.open("b"), Clk);
   ASSERT_TRUE(B.connectTo("a").hasValue());
-  A.pump(); // Accept; Version/Verack out.
-  B.pump(); // Handshake completes; GetHeaders out.
-  A.pump(); // Headers(30) out.
-  B.pump(); // Schedules 30 bodies: 16 requested, 14 still queued.
+  A->pump(); // Accept; Version/Verack out.
+  B.pump();  // Handshake completes; GetHeaders out.
+  A->pump(); // Headers(30) out.
+  B.pump();  // Schedules 30 bodies: 16 requested, 14 still queued.
   ASSERT_EQ(B.chain().height(), 0);
 
-  A.crash(); // The link drops with the whole schedule outstanding.
+  A.reset(); // A dies: the link drops with the schedule outstanding.
   B.pump();  // B observes the close and must release every mark.
   EXPECT_EQ(B.peerCount(), 0u);
 

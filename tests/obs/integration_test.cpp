@@ -1,6 +1,6 @@
 //===- tests/obs/integration_test.cpp - End-to-end obs instrumentation ----===//
 //
-// Drives a real mine/submit/reorg/recover scenario through tc::Node and
+// Drives a real mine/submit/reorg/restart scenario through tc::Node and
 // asserts the *exported* snapshot (the JSON a TYPECOIN_OBS_EXPORT run
 // writes) carries non-zero checker.*, mempool.*, node.submit.* and
 // reorg.depth metrics with plausible values — i.e. the instrumentation
@@ -12,6 +12,7 @@
 #include "chaosutil.h"
 
 #include "obs/export.h"
+#include "store/vfs.h"
 #include "typecoin/node.h"
 
 using namespace typecoin;
@@ -33,7 +34,10 @@ TEST(ObsIntegration, MineSubmitReorgRecoverExportsPlausibleMetrics) {
   obs::TraceBuffer::instance().clear();
   obs::TraceBuffer::instance().setEnabled(true);
 
-  tc::Node Node;
+  store::MemVfs Disk;
+  auto Owned = std::make_unique<tc::Node>();
+  tc::Node &Node = *Owned;
+  ASSERT_TRUE(Node.openStore(Disk, "store").hasValue());
   Actor Alice(7001);
   uint32_t Clock = 0;
 
@@ -66,19 +70,24 @@ TEST(ObsIntegration, MineSubmitReorgRecoverExportsPlausibleMetrics) {
   feed(Node, S7);
   ASSERT_EQ(Node.chain().height(), 7);
 
-  // A second, unconfirmed pair, then a crash: recover() must report
-  // exactly what it dropped and rebuilt (the satellite contract — no
-  // silent discards).
+  // A second, unconfirmed pair, then a crash: the node dies after an
+  // epoch flush, the power goes, and a new node reopens the disk. Its
+  // start-up must report exactly what it rebuilt (no silent discards).
   auto P2 = buildGrantPair(Alice, "voucher", Alice.pub(), Node.chain());
   ASSERT_TRUE(P2.hasValue()) << P2.error().message();
   ASSERT_TRUE(Node.submitPair(*P2).hasValue());
-  auto Stats = Node.recover();
-  ASSERT_TRUE(Stats.hasValue()) << Stats.error().message();
-  EXPECT_EQ(Stats->JournalSize, 2u);
-  EXPECT_EQ(Stats->Registered, 1u);         // P survived the reorg.
-  EXPECT_EQ(Stats->Requeued, 1u);           // P2 back in the retry queue.
-  EXPECT_EQ(Stats->MempoolReadmitted, 1u);  // P2's carrier re-admitted.
-  EXPECT_EQ(Stats->MempoolDropped, 1u);     // The crash cost one entry.
+  ASSERT_TRUE(Node.flushStoreEpoch().hasValue());
+  Owned.reset();
+  Disk.crash();
+  tc::Node Restarted;
+  auto Opened = Restarted.openStore(Disk, "store");
+  ASSERT_TRUE(Opened.hasValue()) << Opened.error().message();
+  const tc::Node::RecoverStats &Stats = Opened->Rebuild;
+  EXPECT_EQ(Stats.JournalSize, 2u);
+  EXPECT_EQ(Stats.Registered, 1u);         // P survived the reorg.
+  EXPECT_EQ(Stats.Requeued, 1u);           // P2 back in the retry queue.
+  EXPECT_EQ(Stats.MempoolReadmitted, 1u);  // P2's carrier re-admitted.
+  EXPECT_EQ(Stats.MempoolDropped, 0u);     // A new process has no pool.
 
   // --- Export and re-read, exactly as tcstat would ----------------------
   obs::Json Doc = obs::currentExportJson();
@@ -106,32 +115,34 @@ TEST(ObsIntegration, MineSubmitReorgRecoverExportsPlausibleMetrics) {
   EXPECT_GT(ProofNs->Count, 0u);
   EXPECT_LE(ProofNs->Sum, CheckNs->Sum);
 
-  // mempool.*: two carrier acceptances (P, P2) plus P2's recovery
-  // re-admission; the crash dropped one entry; the reorg revalidated.
+  // mempool.*: two carrier acceptances (P, P2) plus P2's re-admission
+  // at start-up; nothing was dropped; the reorg revalidated.
   EXPECT_GE(S.counter("mempool.accept.ok"), 3u);
-  EXPECT_EQ(S.counter("mempool.clear.dropped"), 1u);
+  EXPECT_EQ(S.counter("mempool.clear.dropped"), 0u);
   EXPECT_GE(S.counter("mempool.revalidate.runs"), 1u);
   EXPECT_EQ(S.gauge("mempool.size"), 1); // P2 is back in the pool.
 
-  // reorg.*: exactly one reorganization, depth exactly 1.
-  EXPECT_EQ(S.counter("reorg.count"), 1u);
+  // reorg.*: one reorganization of depth exactly 1, run twice: once
+  // live, and once more when the restarted node replays a block log
+  // that holds both branches.
+  EXPECT_EQ(S.counter("reorg.count"), 2u);
   EXPECT_EQ(S.gauge("reorg.depth.max"), 1);
   const obs::HistogramData *Depth = S.histogram("reorg.depth");
   ASSERT_NE(Depth, nullptr);
-  EXPECT_EQ(Depth->Count, 1u);
+  EXPECT_EQ(Depth->Count, 2u);
   EXPECT_EQ(Depth->Max, 1u);
 
   // node.submit.*: two accepted pairs, no gate rejections.
   EXPECT_EQ(S.counter("node.submit.accepted"), 2u);
   EXPECT_EQ(S.counter("node.submit.rejected.correspondence"), 0u);
   EXPECT_EQ(S.counter("node.submit.rejected.precheck"), 0u);
-  EXPECT_EQ(S.counter("node.recover.runs"), 1u);
+  EXPECT_EQ(S.counter("store.recover.from_disk"), 1u);
   EXPECT_EQ(S.counter("node.recover.requeued"), 1u);
 
-  // chain.*: every block submission was counted (6 mined + 2 fed + the
-  // reorg's disconnect).
+  // chain.*: every block submission was counted (6 mined + 2 fed, then
+  // the replay's), and the reorg's disconnect ran live and in replay.
   EXPECT_GE(S.counter("chain.connect.count"), 8u);
-  EXPECT_EQ(S.counter("chain.disconnect.count"), 1u);
+  EXPECT_EQ(S.counter("chain.disconnect.count"), 2u);
 
   // The trace ring saw the scenario too. submitPair spans open at top
   // level, and the pre-check inside them puts checker.check at depth

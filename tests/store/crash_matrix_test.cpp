@@ -4,8 +4,11 @@
 // the durable-store workload performs, and EVERY fault kind the storage
 // layer models, kill the node at that operation, power-cycle the
 // simulated disk, restart, heal from peers, and demand the recovered
-// node's State::fingerprint equals an uninterrupted twin's. The matrix
-// size is asserted so a cell can never be skipped silently.
+// node's State::fingerprint equals an uninterrupted twin's and a
+// from-genesis replay of its own chain and journal. No cell ends with a
+// rebuild of its own, so the restarted node's incremental state is what
+// is compared. The matrix size is asserted so a cell can never be
+// skipped silently.
 //
 // The workload is precomputed once (blocks mined and pairs signed
 // against a scratch node) so each of the several hundred cells replays
@@ -105,11 +108,6 @@ const TwinView &twin() {
   static const TwinView T = [] {
     tc::Node N;
     runWorkload(N, /*Ignore=*/false);
-    // Cells end with a from-genesis rebuild (recover()); the twin runs
-    // one too so both sides went through the same final normalization —
-    // incremental vs. replayed equivalence is chaos suite ground
-    // already (crash_recovery_test).
-    EXPECT_TRUE(N.recover().hasValue());
     TwinView V;
     V.Fingerprint = N.state().fingerprint();
     V.TipHex = N.chain().tipHash().toHex();
@@ -117,6 +115,15 @@ const TwinView &twin() {
     return V;
   }();
   return T;
+}
+
+/// The node's state equals a from-genesis replay of its own chain and
+/// journal.
+void expectMatchesReplay(const tc::Node &N) {
+  auto Replayed =
+      tc::replayChain(N.chain(), N.journal(), N.registrationDepth());
+  ASSERT_TRUE(Replayed.hasValue()) << Replayed.error().message();
+  EXPECT_EQ(N.state().fingerprint(), Replayed->TcState.fingerprint());
 }
 
 /// Count the crash points the workload exposes: a full run against a
@@ -128,7 +135,6 @@ uint64_t countCrashPoints() {
   auto R = N.openStore(Fault, "store", kEpochInterval);
   EXPECT_TRUE(R.hasValue());
   runWorkload(N, /*Ignore=*/false);
-  EXPECT_TRUE(N.recover().hasValue());
   // Sanity: the store-attached node agrees with the storeless twin.
   EXPECT_EQ(N.state().fingerprint(), twin().Fingerprint);
   EXPECT_EQ(N.chain().tipHash().toHex(), twin().TipHex);
@@ -151,20 +157,19 @@ void runCell(store::FaultKind Kind, uint64_t Op) {
   // the in-flight write survives per the fault kind.
   Fault.powerLoss();
 
-  // Restart on the post-crash disk — no faults this time — heal from
-  // peers (the full workload again), and rebuild volatile state.
+  // Restart on the post-crash disk — no faults this time — and heal
+  // from peers (the full workload again).
   tc::Node Restarted;
   auto R = Restarted.openStore(Mem, "store", kEpochInterval);
   ASSERT_TRUE(R.hasValue())
       << "recovery must never fail on a post-crash store: "
       << R.error().message();
   runWorkload(Restarted, /*Ignore=*/true);
-  auto Rec = Restarted.recover();
-  ASSERT_TRUE(Rec.hasValue()) << Rec.error().message();
 
   EXPECT_EQ(Restarted.chain().tipHash().toHex(), twin().TipHex);
   EXPECT_EQ(Restarted.state().fingerprint(), twin().Fingerprint);
   EXPECT_EQ(Restarted.journal().size(), twin().JournalSize);
+  expectMatchesReplay(Restarted);
 }
 
 TEST(StoreCrashMatrix, EveryCrashPointTimesEveryFaultKindConverges) {
