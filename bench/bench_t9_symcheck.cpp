@@ -1,17 +1,16 @@
 //===- bench/bench_t9_symcheck.cpp - Experiment T9 ------------------------===//
 //
-// The symbolic verification gate's cost model: per-script analysis
-// latency on the standard templates, path-enumeration scaling on
-// branchy scripts (2^n paths for n sequential symbolic conditionals),
-// the whole-ledger snapshot (DataflowLedger::fromChain) against chain
-// length, and the affine dataflow pass against pending-set size. These
-// bound what TYPECOIN_SYMCHECK adds to Node::submitPair.
+// The cost model of `tclint --sym --dataflow`: per-script symbolic
+// analysis latency on the standard templates, path-enumeration scaling
+// on branchy scripts (2^n paths for n sequential symbolic conditionals),
+// and the affine dataflow pass against pending-set size. These bound
+// what the two passes add to a tclint run.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/symcheck.h"
+#include "analysis/dataflow.h"
+#include "analysis/tcsym.h"
 
-#include "bitcoin/miner.h"
 #include "bitcoin/standard.h"
 #include "support/rng.h"
 
@@ -63,79 +62,22 @@ void BM_SymAnalyzeBranchy(benchmark::State &State) {
 BENCHMARK(BM_SymAnalyzeBranchy)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
-/// A chain with \p Blocks empty blocks (plus genesis).
-bitcoin::Blockchain makeChain(int Blocks) {
-  bitcoin::ChainParams P;
-  P.CoinbaseMaturity = 1;
-  bitcoin::Blockchain Chain(P);
-  bitcoin::Mempool Pool;
-  auto Miner = keyFromSeed(1);
-  uint32_t Clock = 0;
-  for (int I = 0; I < Blocks; ++I) {
-    Clock += 600;
-    (void)bitcoin::mineAndSubmit(Chain, Pool, Miner.id(), Clock);
-  }
-  return Chain;
-}
-
-void BM_DataflowLedgerFromChain(benchmark::State &State) {
-  bitcoin::Blockchain Chain =
-      makeChain(static_cast<int>(State.range(0)));
-  for (auto _ : State)
-    benchmark::DoNotOptimize(DataflowLedger::fromChain(Chain));
-}
-BENCHMARK(BM_DataflowLedgerFromChain)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMicrosecond);
-
 /// The dataflow pass over a pending chain of n transactions, each
 /// consuming its predecessor's output (worst case for the cycle DFS).
 void BM_AffineDataflowPending(benchmark::State &State) {
-  DataflowLedger Ledger;
-  Ledger.ChainTxids.insert("aa");
-  Ledger.Unspent.insert("aa:0");
   std::vector<DataflowTx> Pending;
   for (int64_t I = 0; I < State.range(0); ++I) {
     DataflowTx T;
     T.Txid = "p" + std::to_string(I);
     T.Consumes = {I == 0 ? "aa:0"
                          : "p" + std::to_string(I - 1) + ":0"};
-    T.NumOutputs = 1;
     Pending.push_back(std::move(T));
   }
   for (auto _ : State)
-    benchmark::DoNotOptimize(analyzeAffineDataflow(Pending, Ledger));
+    benchmark::DoNotOptimize(analyzeAffineDataflow(Pending));
 }
 BENCHMARK(BM_AffineDataflowPending)->Arg(16)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
-
-/// The full per-pair gate body (carrier scripts + ledger + dataflow) as
-/// Node::submitPair pays it: one Multisig1of2 carrier against a short
-/// chain.
-void BM_SymGateCarrier(benchmark::State &State) {
-  bitcoin::Blockchain Chain = makeChain(16);
-  tc::Transaction T;
-  tc::Input In;
-  In.SourceTxid = std::string(64, 'a');
-  In.SourceIndex = 0;
-  In.Type = logic::pOne();
-  In.Amount = 100000;
-  T.Inputs.push_back(std::move(In));
-  tc::Output Out;
-  Out.Type = logic::pOne();
-  Out.Amount = 100000;
-  Out.Owner = keyFromSeed(2).publicKey();
-  T.Outputs.push_back(std::move(Out));
-  T.Proof = logic::mLam("x", logic::pOne(), logic::mVar("x"));
-  auto Btc = tc::embedTransaction(T, tc::EmbedScheme::Multisig1of2);
-  for (auto _ : State) {
-    LintReport R = analyzeCarrierScripts(*Btc);
-    DataflowLedger Ledger = DataflowLedger::fromChain(Chain);
-    R.merge(analyzeAffineDataflow({DataflowTx::fromPair(T, *Btc)}, Ledger),
-            "dataflow");
-    benchmark::DoNotOptimize(R);
-  }
-}
-BENCHMARK(BM_SymGateCarrier)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

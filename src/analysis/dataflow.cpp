@@ -1,11 +1,11 @@
-//===- analysis/dataflow.cpp - Whole-ledger affine dataflow ---------------===//
+//===- analysis/dataflow.cpp - Affine dataflow over a pending set ---------===//
 
 #include "analysis/dataflow.h"
 
 #include "support/strings.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <map>
 
 namespace typecoin {
 namespace analysis {
@@ -36,7 +36,6 @@ DataflowTx DataflowTx::fromBitcoinTx(const bitcoin::Transaction &Btc) {
     Out.Consumes.push_back(
         outpointKey(In.Prevout.Tx.toHex(), In.Prevout.Index));
   }
-  Out.NumOutputs = Btc.Outputs.size();
   return Out;
 }
 
@@ -46,136 +45,35 @@ DataflowTx DataflowTx::fromPair(const tc::Transaction &Tc,
   Out.Txid = Btc.txid().toHex();
   for (const tc::Input &In : Tc.Inputs)
     Out.Consumes.push_back(outpointKey(In.SourceTxid, In.SourceIndex));
-  Out.NumOutputs = Tc.Outputs.size();
   return Out;
 }
 
-DataflowLedger DataflowLedger::fromChain(const bitcoin::Blockchain &Chain) {
-  DataflowLedger L;
-  std::set<std::string> Created;
-  Chain.forEachBlock([&](const bitcoin::Block &B, int /*Height*/,
-                         bool OnBestChain) {
-    for (const bitcoin::Transaction &Tx : B.Txs) {
-      const std::string Txid = Tx.txid().toHex();
-      if (OnBestChain) {
-        L.ChainTxids.insert(Txid);
-        for (uint32_t I = 0; I < Tx.Outputs.size(); ++I)
-          Created.insert(outpointKey(Txid, I));
-      }
-      for (const bitcoin::TxIn &In : Tx.Inputs) {
-        if (In.Prevout.isNull())
-          continue;
-        std::string Key =
-            outpointKey(In.Prevout.Tx.toHex(), In.Prevout.Index);
-        if (OnBestChain)
-          L.SpentOnChain.emplace(std::move(Key), Txid);
-        else
-          L.SpentOnStaleBranches[Key].push_back(Txid);
-      }
-    }
-  });
-  // A consumption also present on the best chain is not *stale*: the
-  // same transaction usually exists on both branches after a reorg.
-  for (auto It = L.SpentOnStaleBranches.begin();
-       It != L.SpentOnStaleBranches.end();) {
-    auto OnChainIt = L.SpentOnChain.find(It->first);
-    if (OnChainIt != L.SpentOnChain.end()) {
-      auto &V = It->second;
-      V.erase(std::remove(V.begin(), V.end(), OnChainIt->second), V.end());
-      if (V.empty()) {
-        It = L.SpentOnStaleBranches.erase(It);
-        continue;
-      }
-    }
-    std::sort(It->second.begin(), It->second.end());
-    It->second.erase(std::unique(It->second.begin(), It->second.end()),
-                     It->second.end());
-    ++It;
-  }
-  for (const std::string &Key : Created)
-    if (!L.SpentOnChain.count(Key))
-      L.Unspent.insert(Key);
-  return L;
-}
-
-LintReport analyzeAffineDataflow(const std::vector<DataflowTx> &Pending,
-                                 const DataflowLedger &Ledger) {
+LintReport analyzeAffineDataflow(const std::vector<DataflowTx> &Pending) {
   LintReport Out;
-
-  std::map<std::string, size_t> PendingByTxid;
-  for (size_t I = 0; I < Pending.size(); ++I)
-    PendingByTxid.emplace(Pending[I].Txid, I);
 
   // First consumer of each resource within the pending set.
   std::map<std::string, std::string> FirstConsumer;
 
   for (const DataflowTx &Tx : Pending) {
-    const std::string TxSpan = "tx[" + shortId(Tx.Txid) + "]";
     for (size_t I = 0; I < Tx.Consumes.size(); ++I) {
       const std::string &Res = Tx.Consumes[I];
-      const std::string Span = TxSpan + "/input[" + std::to_string(I) + "]";
-
       auto [It, Fresh] = FirstConsumer.emplace(Res, Tx.Txid);
-      if (!Fresh) {
+      if (!Fresh)
         Out.error("dataflow-double-consume",
                   "resource " + Res + " is consumed twice: by " +
                       shortId(It->second) + " and by " + shortId(Tx.Txid) +
                       "; the affine discipline admits at most one consumer",
-                  Span);
-        continue;
-      }
-
-      auto Spent = Ledger.SpentOnChain.find(Res);
-      if (Spent != Ledger.SpentOnChain.end()) {
-        Out.error("dataflow-consumed",
-                  "resource " + Res + " was already consumed on the best "
-                  "chain by " + shortId(Spent->second),
-                  Span);
-        continue;
-      }
-
-      auto Stale = Ledger.SpentOnStaleBranches.find(Res);
-      if (Stale != Ledger.SpentOnStaleBranches.end()) {
-        Out.warn("dataflow-resurrect-reorg",
-                 "resource " + Res + " was consumed on a stale branch by " +
-                     shortId(Stale->second.front()) +
-                     "; if that branch wins again the two consumers race",
-                 Span);
-      }
-
-      const std::string Producer = outpointTxid(Res);
-      bool OnChain = Ledger.ChainTxids.count(Producer) != 0;
-      bool InPending = PendingByTxid.count(Producer) != 0;
-      if (!OnChain && !InPending) {
-        Out.warn("dataflow-orphan",
-                 "resource " + Res + " has unknown provenance: producer " +
-                     shortId(Producer) +
-                     " is neither on the best chain nor pending",
-                 Span);
-      } else if (OnChain && !Ledger.exists(Res)) {
-        Out.warn("dataflow-orphan",
-                 "resource " + Res + " does not exist: producer " +
-                     shortId(Producer) + " is on the best chain but has "
-                     "no such output index",
-                 Span);
-      } else if (!OnChain && InPending) {
-        const DataflowTx &Prod = Pending[PendingByTxid.at(Producer)];
-        size_t Index = 0;
-        if (auto Colon = Res.find(':'); Colon != std::string::npos)
-          Index = std::strtoull(Res.c_str() + Colon + 1, nullptr, 10);
-        if (Index >= Prod.NumOutputs)
-          Out.warn("dataflow-orphan",
-                   "resource " + Res + " does not exist: pending producer " +
-                       shortId(Producer) + " declares only " +
-                       std::to_string(Prod.NumOutputs) + " outputs",
-                   Span);
-      }
+                  "tx[" + shortId(Tx.Txid) + "]/input[" + std::to_string(I) +
+                      "]");
     }
   }
 
   // Cycle detection over pending->pending consumption edges (iterative
   // three-color DFS; no topological confirmation order exists inside a
   // cycle, so none of its members can ever confirm).
+  std::map<std::string, size_t> PendingByTxid;
+  for (size_t I = 0; I < Pending.size(); ++I)
+    PendingByTxid.emplace(Pending[I].Txid, I);
   enum Color { White, Grey, Black };
   std::vector<Color> Colors(Pending.size(), White);
   auto edges = [&](size_t N) {
@@ -224,20 +122,6 @@ LintReport analyzeAffineDataflow(const std::vector<DataflowTx> &Pending,
     }
   }
 
-  return Out;
-}
-
-LintReport analyzeLedger(const DataflowLedger &Ledger) {
-  LintReport Out;
-  for (const auto &[Res, Consumers] : Ledger.SpentOnStaleBranches) {
-    if (Ledger.Unspent.count(Res)) {
-      Out.warn("dataflow-resurrect-reorg",
-               "resource " + Res + " is unspent on the best chain but was "
-               "consumed on a stale branch by " + shortId(Consumers.front()) +
-                   "; a reorganization can resurrect that consumer",
-               "ledger");
-    }
-  }
   return Out;
 }
 

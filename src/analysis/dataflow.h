@@ -1,30 +1,20 @@
-//===- analysis/dataflow.h - Whole-ledger affine dataflow --------*- C++ -*-===//
+//===- analysis/dataflow.h - Affine dataflow over a pending set --*- C++ -*-===//
 //
 // Part of the Typecoin reproduction of Crary & Sullivan (PLDI 2015).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The whole-ledger affine dataflow pass. Typecoin's logic makes every
-/// transaction-output an *affine* resource: it may be consumed at most
-/// once (paper Section 2, "the transaction-outputs are affine"). The
-/// Bitcoin layer enforces this on the best chain; this pass re-proves it
-/// statically over a ledger snapshot — the full block tree (stale
-/// branches included, via Blockchain::forEachBlock) plus a set of
-/// pending (mempool / batch) transactions — and flags the shapes the
-/// runtime check cannot see:
+/// The affine dataflow pass over a pending set. Typecoin's logic makes
+/// every transaction-output an *affine* resource: it may be consumed at
+/// most once (paper Section 2, "the transaction-outputs are affine").
+/// The Bitcoin layer enforces this on the best chain; this pass proves
+/// it statically over a set of not-yet-confirmed transactions (the
+/// files `tclint --dataflow` is given) and flags the shapes no single
+/// transaction shows on its own:
 ///
 ///  * **double-consume** — two pending transactions (or two inputs)
 ///    consume the same resource: at most one can ever confirm;
-///  * **consumed** — a pending transaction consumes a resource already
-///    consumed on the best chain;
-///  * **resurrect-after-reorg** — a resource was consumed only on a
-///    stale branch and is unspent on the best chain; re-consuming it is
-///    legal now, but the abandoned consumer returns if that branch wins
-///    again, and the two carriers then race;
-///  * **orphaned-resource** — a consumed resource whose producing
-///    transaction is neither on the best chain nor among the pending
-///    set: provenance unknown, the affine discipline cannot be checked;
 ///  * **cycle** — pending transactions that consume each other's
 ///    outputs cyclically, so no topological confirmation order exists.
 ///
@@ -34,25 +24,22 @@
 #define TYPECOIN_ANALYSIS_DATAFLOW_H
 
 #include "analysis/diagnostic.h"
-#include "bitcoin/chain.h"
+#include "bitcoin/transaction.h"
 #include "typecoin/transaction.h"
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 namespace typecoin {
 namespace analysis {
 
-/// One transaction as the dataflow pass sees it: an identity, the
-/// resources it consumes, and how many it produces.
+/// One transaction as the dataflow pass sees it: an identity and the
+/// resources it consumes.
 struct DataflowTx {
   /// Display-hex Bitcoin txid of the (carrier) transaction.
   std::string Txid;
   /// Consumed resources as "txid:n" display-hex outpoint keys.
   std::vector<std::string> Consumes;
-  size_t NumOutputs = 0;
 
   /// Project a Bitcoin transaction (coinbase inputs are not resources).
   static DataflowTx fromBitcoinTx(const bitcoin::Transaction &Btc);
@@ -62,37 +49,10 @@ struct DataflowTx {
                              const bitcoin::Transaction &Btc);
 };
 
-/// A ledger snapshot: what exists, what is consumed, and where.
-struct DataflowLedger {
-  /// Txids confirmed on the best chain.
-  std::set<std::string> ChainTxids;
-  /// Outpoint -> consuming txid, for best-chain consumptions.
-  std::map<std::string, std::string> SpentOnChain;
-  /// Outpoint -> consuming txids seen *only* on stale branches.
-  std::map<std::string, std::vector<std::string>> SpentOnStaleBranches;
-  /// Outpoints created on the best chain and not consumed there.
-  std::set<std::string> Unspent;
-
-  /// True when the outpoint was created on the best chain.
-  bool exists(const std::string &Outpoint) const {
-    return Unspent.count(Outpoint) != 0 ||
-           SpentOnChain.count(Outpoint) != 0;
-  }
-
-  /// Snapshot the full block tree of \p Chain.
-  static DataflowLedger fromChain(const bitcoin::Blockchain &Chain);
-};
-
-/// Prove the affine discipline for \p Pending against \p Ledger.
-/// Spans are `tx[<txid>]/input[<i>]` (or `tx[<txid>]` for whole-tx
-/// findings such as cycles).
-LintReport analyzeAffineDataflow(const std::vector<DataflowTx> &Pending,
-                                 const DataflowLedger &Ledger);
-
-/// Self-check a ledger snapshot with no pending set: reports resources
-/// that are unspent on the best chain but were consumed on a stale
-/// branch (resurrection hazards left behind by a reorganization).
-LintReport analyzeLedger(const DataflowLedger &Ledger);
+/// Prove the affine discipline within \p Pending. Spans are
+/// `tx[<txid>]/input[<i>]` (or `tx[<txid>]` for whole-tx findings such
+/// as cycles).
+LintReport analyzeAffineDataflow(const std::vector<DataflowTx> &Pending);
 
 } // namespace analysis
 } // namespace typecoin

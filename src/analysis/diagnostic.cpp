@@ -80,5 +80,26 @@ Status LintReport::toStatus() const {
   return Status::success();
 }
 
+obs::Json findingsJson(const LintReport &R) {
+  obs::Json Doc = obs::Json::object();
+  Doc.set("schema", "typecoin-findings/1");
+  obs::Json Counts = obs::Json::object();
+  Counts.set("note", static_cast<int64_t>(R.count(Severity::Note)));
+  Counts.set("warning", static_cast<int64_t>(R.count(Severity::Warning)));
+  Counts.set("error", static_cast<int64_t>(R.count(Severity::Error)));
+  Doc.set("counts", std::move(Counts));
+  obs::Json Findings = obs::Json::array();
+  for (const Diagnostic &D : R.diagnostics()) {
+    obs::Json F = obs::Json::object();
+    F.set("severity", severityName(D.Sev));
+    F.set("code", D.Code);
+    F.set("message", D.Message);
+    F.set("span", D.Span);
+    Findings.push(std::move(F));
+  }
+  Doc.set("findings", std::move(Findings));
+  return Doc;
+}
+
 } // namespace analysis
 } // namespace typecoin

@@ -13,11 +13,16 @@
 /// `proof/lam(x)/app/arg` or `output[2]`) playing the role a
 /// file:line location plays in a source-level linter.
 ///
+/// A report also renders to a machine-readable JSON document (schema
+/// `typecoin-findings/1`), shared by `tclint --json` and the CI
+/// symcheck job.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TYPECOIN_ANALYSIS_DIAGNOSTIC_H
 #define TYPECOIN_ANALYSIS_DIAGNOSTIC_H
 
+#include "obs/json.h"
 #include "support/result.h"
 
 #include <string>
@@ -96,6 +101,11 @@ public:
 private:
   std::vector<Diagnostic> Diags;
 };
+
+/// Render a report as a `typecoin-findings/1` JSON document:
+/// `{schema, counts{note,warning,error}, findings[{severity,code,
+/// message,span}]}`.
+obs::Json findingsJson(const LintReport &R);
 
 } // namespace analysis
 } // namespace typecoin

@@ -927,5 +927,24 @@ LintReport analyzeCarrierScripts(const bitcoin::Transaction &Btc,
   return Out;
 }
 
+obs::Json verdictJson(const ScriptVerdict &V) {
+  obs::Json Doc = obs::Json::object();
+  Doc.set("wellFormed", V.WellFormed);
+  Doc.set("stackSafe", V.StackSafe);
+  Doc.set("spendability", spendabilityName(V.Spend));
+  obs::Json Mall = obs::Json::array();
+  if (V.Malleability & MalleableDER)
+    Mall.push("der");
+  if (V.Malleability & MalleableExtraStack)
+    Mall.push("extra-stack");
+  if (V.Malleability & MalleableSigSubst)
+    Mall.push("sig-subst");
+  Doc.set("malleability", std::move(Mall));
+  Doc.set("inputsNeeded", static_cast<int64_t>(V.InputsNeeded));
+  Doc.set("pathsExplored", static_cast<int64_t>(V.PathsExplored));
+  Doc.set("pathLimitHit", V.PathLimitHit);
+  return Doc;
+}
+
 } // namespace analysis
 } // namespace typecoin

@@ -156,6 +156,10 @@ analyzeCarrierScripts(const bitcoin::Transaction &Btc,
                       const SymOptions &Opts = SymOptions(),
                       std::vector<ScriptVerdict> *Verdicts = nullptr);
 
+/// Render one script verdict as JSON (embedded into findings documents
+/// by `tclint --sym --json`).
+obs::Json verdictJson(const ScriptVerdict &V);
+
 } // namespace analysis
 } // namespace typecoin
 

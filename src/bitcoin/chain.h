@@ -78,9 +78,8 @@ public:
 
   /// Visit every stored block — all branches, not just the best chain —
   /// in deterministic (block-hash) order, with its height and whether it
-  /// currently sits on the best chain. The whole-ledger affine dataflow
-  /// analysis (analysis/dataflow.h) uses this to see consumptions that
-  /// only exist on abandoned branches.
+  /// currently sits on the best chain. Node::openStore uses this to seed
+  /// a fresh store with every block, abandoned branches included.
   void forEachBlock(
       const std::function<void(const Block &B, int Height, bool OnBestChain)>
           &Fn) const;
@@ -109,7 +108,7 @@ public:
   /// Fetch a confirmed transaction from the best chain.
   const Transaction *findTransaction(const TxId &Tx) const;
 
-  /// Debug-mode invariant auditing (TYPECOIN_AUDIT / analysis/audit.h):
+  /// Debug-mode invariant auditing (TYPECOIN_AUDIT / typecoin/audit.h):
   /// when set, the hook runs after every submitBlock that may have
   /// connected or disconnected blocks — including the restore path of a
   /// failed reorganization — and its failure is reported in preference

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 namespace typecoin {
 namespace crypto {
@@ -93,13 +92,7 @@ static unsigned windowAt(const U256 &K, unsigned Off, unsigned W) {
   return static_cast<unsigned>(V & ((1ull << W) - 1));
 }
 
-static unsigned combWindowFromEnv() {
-  const char *Env = std::getenv("TYPECOIN_ECMULT_WINDOW");
-  long W = Env ? std::atol(Env) : 4;
-  return static_cast<unsigned>(std::clamp(W, 0l, 8l));
-}
-
-Secp256k1::Secp256k1(int CombWindowOverride)
+Secp256k1::Secp256k1()
     : Fn(mustHex(
           "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")),
       N(Fn.modulus()) {
@@ -116,9 +109,6 @@ Secp256k1::Secp256k1(int CombWindowOverride)
   SplitG2 = mustHex(SplitG2Hex);
   MinusB1 = mustHex(MinusB1Hex);
   MinusB2 = mustHex(MinusB2Hex);
-  CombW = CombWindowOverride < 0
-              ? combWindowFromEnv()
-              : static_cast<unsigned>(std::min(CombWindowOverride, 8));
   buildTables();
 }
 
@@ -376,8 +366,6 @@ void Secp256k1::buildTables() {
   for (const AffineFe &E : GOdd)
     GLamOdd.push_back(endoEntry(E));
 
-  if (CombW == 0)
-    return;
   // Comb[b * Mask + (d-1)] = d * 2^(CombW * b) * G for digit d in
   // [1, 2^CombW - 1]. All entries are d' * G with 0 < d' < n, never
   // infinity.
@@ -443,26 +431,13 @@ AffinePoint Secp256k1::multiplyBase(const U256 &K) const {
   U256 KRed = K >= N ? Fn.reduce(K) : K;
   if (KRed.isZero())
     return AffinePoint::infinity();
-  if (CombW != 0) {
-    // One mixed addition per nonzero window; no doublings at all.
-    unsigned Mask = (1u << CombW) - 1;
-    JacobianPoint Acc;
-    for (unsigned Off = 0, B = 0; Off < 256; Off += CombW, ++B) {
-      unsigned Digit = windowAt(KRed, Off, CombW);
-      if (Digit != 0)
-        Acc = jacAddMixed(Acc, Comb[static_cast<size_t>(B) * Mask + Digit - 1]);
-    }
-    return toAffine(Acc);
-  }
-  int16_t D[MaxWnafLen];
-  unsigned Len = wnafDigits(KRed, GWnafWidth, D);
+  // One mixed addition per nonzero window; no doublings at all.
+  unsigned Mask = (1u << CombW) - 1;
   JacobianPoint Acc;
-  for (unsigned I = Len; I-- > 0;) {
-    Acc = jacDouble(Acc);
-    if (D[I] > 0)
-      Acc = jacAddMixed(Acc, GOdd[static_cast<unsigned>(D[I]) >> 1]);
-    else if (D[I] < 0)
-      Acc = jacAddMixed(Acc, negateEntry(GOdd[static_cast<unsigned>(-D[I]) >> 1]));
+  for (unsigned Off = 0, B = 0; Off < 256; Off += CombW, ++B) {
+    unsigned Digit = windowAt(KRed, Off, CombW);
+    if (Digit != 0)
+      Acc = jacAddMixed(Acc, Comb[static_cast<size_t>(B) * Mask + Digit - 1]);
   }
   return toAffine(Acc);
 }

@@ -13,9 +13,8 @@
 ///
 /// Scalar multiplication is table-driven (ROADMAP item 4c):
 ///
-///  * `multiplyBase` walks a fixed-base comb table (one mixed addition per
-///    window, zero doublings), built once at startup; window width comes
-///    from `TYPECOIN_ECMULT_WINDOW` (default 4, 0 disables the table).
+///  * `multiplyBase` walks a fixed-base comb table of 4-bit windows (one
+///    mixed addition per window, zero doublings), built once at startup.
 ///  * `multiply` uses width-5 wNAF over on-the-fly odd multiples of P.
 ///  * `doubleMultiply` — the exact shape `ecdsaVerify` computes — is an
 ///    interleaved Straus/Shamir ladder mixing width-8 wNAF over a
@@ -76,12 +75,9 @@ struct AffinePoint {
 /// serialization. A process-wide singleton is available via \ref instance.
 class Secp256k1 {
 public:
-  /// \p CombWindowOverride selects the fixed-base comb window width in
-  /// bits; -1 reads `TYPECOIN_ECMULT_WINDOW` (default 4), 0 disables the
-  /// comb so `multiplyBase` falls back to wNAF over the odd-G table.
-  /// Values are clamped to [0, 8]. Tests construct private instances to
-  /// sweep window widths; production code uses \ref instance.
-  explicit Secp256k1(int CombWindowOverride = -1);
+  /// Builds the curve constants and the precomputed tables; code uses
+  /// the shared \ref instance.
+  Secp256k1();
 
   /// The ModArith over p. Point arithmetic runs on FieldElement; this
   /// object serves its inversions and Jacobi symbols, and is the tests'
@@ -96,8 +92,6 @@ public:
   const U256 &halfOrder() const { return HalfN; }
   /// The standard generator G.
   const AffinePoint &generator() const { return G; }
-  /// The comb window width this instance was built with (0 = disabled).
-  unsigned combWindow() const { return CombW; }
 
   /// GLV endomorphism constants (exposed for the property sweep):
   /// lambda^3 = 1 mod n and beta^3 = 1 mod p, with
@@ -248,7 +242,7 @@ private:
   /// k1 = k - k2*lambda. MinusB1/MinusB2 store -b1/-b2 mod n.
   U256 SplitG1, SplitG2, MinusB1, MinusB2;
 
-  unsigned CombW = 0;          ///< Comb window width in bits; 0 = disabled.
+  static constexpr unsigned CombW = 4; ///< Comb window width in bits.
   std::vector<AffineFe> Comb; ///< [block][digit-1]: d * 2^(W*block) * G.
   std::vector<AffineFe> GOdd; ///< Odd multiples of G for width-8 wNAF.
   std::vector<AffineFe> GLamOdd; ///< phi(GOdd): odd multiples of phi(G).

@@ -3,7 +3,6 @@
 #include "services/batchserver.h"
 
 #include "analysis/lint.h"
-#include "analysis/symcheck.h"
 #include "obs/metrics.h"
 #include "store/chainstore.h"
 #include "support/threadpool.h"
@@ -222,14 +221,6 @@ BatchServer::recordWriteThrough(const tc::Transaction &T) {
   // would refuse the transaction on every retry — so it is not worth
   // deferring.
   if (auto S = analysis::lintGate(T); !S) {
-    M.WriteRejected.inc();
-    return S.takeError();
-  }
-  // Opt-in symbolic gate (TYPECOIN_SYMCHECK): the carrier does not
-  // exist yet, so this is the dataflow-only overload — it catches a
-  // write that consumes an already-consumed resource before we pay for
-  // building and signing the carrier.
-  if (auto S = analysis::symGate(T, Node.chain()); !S) {
     M.WriteRejected.inc();
     return S.takeError();
   }

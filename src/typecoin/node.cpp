@@ -2,13 +2,12 @@
 
 #include "typecoin/node.h"
 
-#include "analysis/audit.h"
-#include "analysis/symcheck.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/chainstore.h"
 #include "store/faultvfs.h"
 #include "support/rng.h"
+#include "typecoin/audit.h"
 #include "typecoin/persist.h"
 
 #include <algorithm>
@@ -103,8 +102,8 @@ Node::Node(bitcoin::ChainParams Params, int RegistrationDepth)
     : Chain(std::move(Params)), RegistrationDepth(RegistrationDepth) {
 #ifdef TYPECOIN_AUDIT
   // Debug builds re-derive the ledger invariants after every block
-  // connect/disconnect (analysis/audit.h).
-  analysis::installChainAuditor(Chain);
+  // connect/disconnect (typecoin/audit.h).
+  installChainAuditor(Chain);
 #endif
 }
 
@@ -154,7 +153,6 @@ struct SubmitMetrics {
       obs::counter("node.submit.rejected.correspondence");
   obs::Counter &RejectedPrecheck =
       obs::counter("node.submit.rejected.precheck");
-  obs::Counter &RejectedSym = obs::counter("node.submit.rejected.sym");
   obs::Counter &RejectedMempool =
       obs::counter("node.submit.rejected.mempool");
   obs::Histogram &EmbedNs = obs::latencyHistogram("node.submit.embed_ns");
@@ -171,14 +169,6 @@ struct SubmitMetrics {
 Status Node::submitPair(const Pair &P) {
   SubmitMetrics &M = SubmitMetrics::get();
   obs::Span Trace("node.submitPair");
-  // Opt-in symbolic gate (TYPECOIN_SYMCHECK): tcsym over the carrier
-  // output scripts plus the whole-ledger affine dataflow pass. A no-op
-  // (single env read) when the gate is off.
-  if (auto S = analysis::symGate(P, Chain); !S) {
-    M.RejectedSym.inc();
-    return S;
-  }
-
   {
     obs::ScopedTimer Timer(M.EmbedNs);
     if (auto S = checkCorrespondence(P.Tc, P.Btc); !S) {
@@ -325,7 +315,7 @@ Result<std::vector<std::string>> Node::rebuildFromGenesis() {
     if (!Registered.count(Payload) && !Pending.count(Payload))
       Pending[Payload] = PendingCarrier{P};
 #ifdef TYPECOIN_AUDIT
-  TC_TRY(analysis::auditState(TcState));
+  TC_TRY(auditState(TcState));
 #endif
   return std::move(R.SpoiledTxids);
 }
@@ -344,8 +334,8 @@ Node::mineBlock(const crypto::KeyId &Payout, uint32_t Time) {
   persistBlock(Block);
   TC_UNWRAP(Spoiled, syncRegistrations());
 #ifdef TYPECOIN_AUDIT
-  TC_TRY(analysis::auditMempool(Pool, Chain));
-  TC_TRY(analysis::auditState(TcState));
+  TC_TRY(auditMempool(Pool, Chain));
+  TC_TRY(auditState(TcState));
 #endif
   return Spoiled;
 }
@@ -358,8 +348,8 @@ Result<std::vector<std::string>> Node::submitBlock(const bitcoin::Block &B) {
   Pool.revalidate(Chain);
   TC_UNWRAP(Spoiled, syncRegistrations());
 #ifdef TYPECOIN_AUDIT
-  TC_TRY(analysis::auditMempool(Pool, Chain));
-  TC_TRY(analysis::auditState(TcState));
+  TC_TRY(auditMempool(Pool, Chain));
+  TC_TRY(auditState(TcState));
 #endif
   return Spoiled;
 }
@@ -545,7 +535,7 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
     Stats.DigestMismatch = true;
     Chain = bitcoin::Blockchain(Chain.params());
 #ifdef TYPECOIN_AUDIT
-    analysis::installChainAuditor(Chain);
+    installChainAuditor(Chain);
 #endif
     if (!ReplayBlocks(/*AssumeValid=*/false)) {
       // Full validation accepted the blocks yet the digest still
@@ -591,7 +581,6 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
     obs::ScopedTimer Timer(RecoverNs);
     obs::Span Trace("node.recover");
     RecoverStats &R = Stats.Rebuild;
-    R.JournalSize = Journal.size();
     R.MempoolDropped = Pool.clear();
     Pending.clear();
     TC_TRY(rebuildFromGenesis());

@@ -177,7 +177,6 @@ public:
   /// (and the `node.recover.*` obs counters) can see exactly how much
   /// state a restart recovered.
   struct RecoverStats {
-    size_t JournalSize = 0;        ///< Durable pairs that survived.
     size_t Registered = 0;         ///< Re-registered from the chain.
     size_t Requeued = 0;           ///< Back in the resubmission queue.
     size_t MempoolReadmitted = 0;  ///< Unconfirmed carriers re-admitted.

@@ -81,7 +81,7 @@ public:
   const Transaction *find(const std::string &Txid) const;
 
   /// All registered Bitcoin txids, in map order (for the invariant
-  /// auditor, analysis/audit.h).
+  /// auditor, typecoin/audit.h).
   std::vector<std::string> registeredTxids() const;
 
   /// Did the named transaction spoil (no valid alternative at

@@ -8,7 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/audit.h"
+#include "typecoin/audit.h"
 
 #include "bitcoin/miner.h"
 #include "bitcoin/standard.h"
@@ -72,7 +72,7 @@ Transaction spendCoinbase(const Blockchain &Chain, const TxId &Coinbase,
 
 TEST(ChainAudit, PassesWhileExtendingWithSpends) {
   Blockchain Chain(testParams());
-  analysis::installChainAuditor(Chain); // Audits after every submit.
+  tc::installChainAuditor(Chain); // Audits after every submit.
   Mempool Pool;
   auto Miner = keyFromSeed(1);
   uint32_t Clock = 0;
@@ -90,13 +90,13 @@ TEST(ChainAudit, PassesWhileExtendingWithSpends) {
   // block that actually moves coins.
   auto B = mineAndSubmit(Chain, Pool, Miner.id(), Clock);
   ASSERT_TRUE(B.hasValue()) << B.error().message();
-  EXPECT_TRUE(analysis::auditChain(Chain).hasValue());
-  EXPECT_TRUE(analysis::auditMempool(Pool, Chain).hasValue());
+  EXPECT_TRUE(tc::auditChain(Chain).hasValue());
+  EXPECT_TRUE(tc::auditMempool(Pool, Chain).hasValue());
 }
 
 TEST(ChainAudit, PassesAcrossSuccessfulReorg) {
   Blockchain Chain(testParams());
-  analysis::installChainAuditor(Chain);
+  tc::installChainAuditor(Chain);
   Mempool Pool;
   auto Miner = keyFromSeed(4);
   uint32_t Clock = 0;
@@ -113,7 +113,7 @@ TEST(ChainAudit, PassesAcrossSuccessfulReorg) {
   ASSERT_TRUE(Chain.submitBlock(A2).hasValue());
   ASSERT_TRUE(Chain.submitBlock(A3).hasValue());
   EXPECT_EQ(Chain.tipHash(), A3.hash());
-  EXPECT_TRUE(analysis::auditChain(Chain).hasValue());
+  EXPECT_TRUE(tc::auditChain(Chain).hasValue());
 }
 
 TEST(ChainAudit, PassesAfterFailedReorgRollback) {
@@ -122,7 +122,7 @@ TEST(ChainAudit, PassesAfterFailedReorgRollback) {
   // aborts and rolls back; the audit re-derives the restored state and
   // must find it exact.
   Blockchain Chain(testParams());
-  analysis::installChainAuditor(Chain);
+  tc::installChainAuditor(Chain);
   Mempool Pool;
   auto Miner = keyFromSeed(1);
   uint32_t Clock = 0;
@@ -149,7 +149,7 @@ TEST(ChainAudit, PassesAfterFailedReorgRollback) {
 
   EXPECT_EQ(Chain.tipHash(), HonestTip);
   EXPECT_EQ(Chain.utxo().size(), HonestUtxo);
-  EXPECT_TRUE(analysis::auditChain(Chain).hasValue());
+  EXPECT_TRUE(tc::auditChain(Chain).hasValue());
 }
 
 TEST(MempoolAudit, DetectsStalePoolEntries) {
@@ -166,7 +166,7 @@ TEST(MempoolAudit, DetectsStalePoolEntries) {
   // PoolA holds a spend of the coinbase...
   Transaction SpendA = spendCoinbase(Chain, CoinbaseHash, Miner, 50);
   ASSERT_TRUE(PoolA.acceptTransaction(SpendA, Chain).hasValue());
-  EXPECT_TRUE(analysis::auditMempool(PoolA, Chain).hasValue());
+  EXPECT_TRUE(tc::auditMempool(PoolA, Chain).hasValue());
 
   // ...but a conflicting spend confirms via PoolB, and PoolA is never
   // told. Its entry now spends an unavailable txout.
@@ -175,8 +175,8 @@ TEST(MempoolAudit, DetectsStalePoolEntries) {
   Clock += 600;
   ASSERT_TRUE(mineAndSubmit(Chain, PoolB, Miner.id(), Clock).hasValue());
 
-  EXPECT_TRUE(analysis::auditMempool(PoolB, Chain).hasValue());
-  EXPECT_FALSE(analysis::auditMempool(PoolA, Chain).hasValue());
+  EXPECT_TRUE(tc::auditMempool(PoolB, Chain).hasValue());
+  EXPECT_FALSE(tc::auditMempool(PoolA, Chain).hasValue());
 }
 
 TEST(StateAudit, ConsumptionInvariantsHold) {
@@ -184,7 +184,7 @@ TEST(StateAudit, ConsumptionInvariantsHold) {
   // transaction spoils its inputs", Section 5); the auditor checks the
   // consumption bookkeeping agrees with the registered bodies.
   tc::State State;
-  EXPECT_TRUE(analysis::auditState(State).hasValue());
+  EXPECT_TRUE(tc::auditState(State).hasValue());
 
   tc::Transaction T;
   tc::Input In;
@@ -203,7 +203,7 @@ TEST(StateAudit, ConsumptionInvariantsHold) {
   ASSERT_TRUE(Applied.hasValue());
   EXPECT_TRUE(State.isSpoiled(std::string(64, 'c')));
   EXPECT_TRUE(State.isConsumed(std::string(64, 'b'), 0));
-  EXPECT_TRUE(analysis::auditState(State).hasValue());
+  EXPECT_TRUE(tc::auditState(State).hasValue());
 }
 
 } // namespace

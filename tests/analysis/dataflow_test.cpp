@@ -1,16 +1,13 @@
 //===- tests/analysis/dataflow_test.cpp - Affine dataflow pass tests ------===//
 //
-// Two layers: hand-built ledgers exercising every diagnostic the pass
-// can emit, and a chain-backed test where the ledger snapshot comes
-// from a real Blockchain that has been through a reorganization (so
-// SpentOnStaleBranches is populated by Blockchain::forEachBlock, not by
-// hand).
+// Hand-built pending sets exercising both diagnostics the pass can emit
+// (double-consume and cycle), plus the projection of a Bitcoin
+// transaction into the pass's view.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/dataflow.h"
 
-#include "bitcoin/miner.h"
 #include "bitcoin/standard.h"
 #include "support/rng.h"
 
@@ -21,177 +18,48 @@ using namespace typecoin::analysis;
 
 namespace {
 
-DataflowTx tx(std::string Txid, std::vector<std::string> Consumes,
-              size_t NumOutputs = 1) {
+DataflowTx tx(std::string Txid, std::vector<std::string> Consumes) {
   DataflowTx T;
   T.Txid = std::move(Txid);
   T.Consumes = std::move(Consumes);
-  T.NumOutputs = NumOutputs;
   return T;
 }
 
-/// A ledger where transaction "aa" created outputs aa:0 and aa:1 on the
-/// best chain; aa:0 is unspent, aa:1 was consumed by "bb".
-DataflowLedger baseLedger() {
-  DataflowLedger L;
-  L.ChainTxids = {"aa", "bb"};
-  L.Unspent = {"aa:0", "bb:0"};
-  L.SpentOnChain["aa:1"] = "bb";
-  return L;
-}
-
 TEST(Dataflow, CleanPendingSetPasses) {
-  LintReport R =
-      analyzeAffineDataflow({tx("p1", {"aa:0"})}, baseLedger());
+  LintReport R = analyzeAffineDataflow({tx("p1", {"aa:0"})});
   EXPECT_TRUE(R.empty());
 }
 
 TEST(Dataflow, DoubleConsumeAcrossTransactions) {
-  LintReport R = analyzeAffineDataflow(
-      {tx("p1", {"aa:0"}), tx("p2", {"aa:0"})}, baseLedger());
+  LintReport R =
+      analyzeAffineDataflow({tx("p1", {"aa:0"}), tx("p2", {"aa:0"})});
   EXPECT_TRUE(R.has("dataflow-double-consume"));
   EXPECT_TRUE(R.hasErrors());
 }
 
 TEST(Dataflow, DoubleConsumeWithinOneTransaction) {
-  LintReport R = analyzeAffineDataflow(
-      {tx("p1", {"aa:0", "aa:0"})}, baseLedger());
+  LintReport R = analyzeAffineDataflow({tx("p1", {"aa:0", "aa:0"})});
   EXPECT_TRUE(R.has("dataflow-double-consume"));
 }
 
-TEST(Dataflow, AlreadyConsumedOnChain) {
-  LintReport R =
-      analyzeAffineDataflow({tx("p1", {"aa:1"})}, baseLedger());
-  EXPECT_TRUE(R.has("dataflow-consumed"));
-  EXPECT_TRUE(R.hasErrors());
-}
-
-TEST(Dataflow, ResurrectAfterReorgIsWarned) {
-  DataflowLedger L = baseLedger();
-  // aa:0 is unspent on the best chain but a stale branch consumed it.
-  L.SpentOnStaleBranches["aa:0"] = {"cc"};
-  LintReport R = analyzeAffineDataflow({tx("p1", {"aa:0"})}, L);
-  EXPECT_TRUE(R.has("dataflow-resurrect-reorg"));
-  EXPECT_FALSE(R.hasErrors()); // A hazard, not a violation.
-
-  // analyzeLedger reports the hazard even with no pending consumer.
-  EXPECT_TRUE(analyzeLedger(L).has("dataflow-resurrect-reorg"));
-  EXPECT_TRUE(analyzeLedger(baseLedger()).empty());
-}
-
-TEST(Dataflow, OrphanUnknownProducer) {
-  LintReport R =
-      analyzeAffineDataflow({tx("p1", {"ff:0"})}, baseLedger());
-  EXPECT_TRUE(R.has("dataflow-orphan"));
-  EXPECT_FALSE(R.hasErrors());
-}
-
-TEST(Dataflow, OrphanBadOutputIndex) {
-  // "p1" produces exactly one output; "p2" consumes its second.
-  LintReport R = analyzeAffineDataflow(
-      {tx("p1", {"aa:0"}, 1), tx("p2", {"p1:1"})}, baseLedger());
-  EXPECT_TRUE(R.has("dataflow-orphan"));
-}
-
 TEST(Dataflow, PendingChainIsNotOrphaned) {
-  // p2 consumes p1's output; p1 is pending, not on chain — fine.
-  LintReport R = analyzeAffineDataflow(
-      {tx("p1", {"aa:0"}, 2), tx("p2", {"p1:1"})}, baseLedger());
+  // p2 consumes p1's output; p1 is pending, not on chain. A chain inside
+  // the pending set is neither a double-consume nor a cycle.
+  LintReport R =
+      analyzeAffineDataflow({tx("p1", {"aa:0"}), tx("p2", {"p1:1"})});
   EXPECT_TRUE(R.empty());
 }
 
 TEST(Dataflow, CycleIsDetected) {
-  LintReport R = analyzeAffineDataflow(
-      {tx("p1", {"p2:0"}), tx("p2", {"p1:0"})}, baseLedger());
+  LintReport R =
+      analyzeAffineDataflow({tx("p1", {"p2:0"}), tx("p2", {"p1:0"})});
   EXPECT_TRUE(R.has("dataflow-cycle"));
   EXPECT_TRUE(R.hasErrors());
 }
 
-// --- Chain-backed: the ledger snapshot from a reorganized Blockchain ------
-
 crypto::PrivateKey keyFromSeed(uint64_t Seed) {
   Rng Rand(Seed);
   return crypto::PrivateKey::generate(Rand);
-}
-
-bitcoin::ChainParams testParams() {
-  bitcoin::ChainParams P;
-  P.CoinbaseMaturity = 1;
-  return P;
-}
-
-TEST(Dataflow, LedgerFromReorganizedChain) {
-  using namespace typecoin::bitcoin;
-  Blockchain Chain(testParams());
-  // Shadow chain fed the same shared-prefix blocks, used to mine the
-  // competing branch from the common ancestor.
-  Blockchain Fork(testParams());
-  Mempool Pool, ForkPool;
-  auto Miner = keyFromSeed(1);
-  auto Alice = keyFromSeed(2);
-
-  // Shared prefix: two blocks, so the height-1 coinbase is mature.
-  uint32_t Clock = 0;
-  for (int I = 0; I < 2; ++I) {
-    Clock += 600;
-    auto B = mineAndSubmit(Chain, Pool, Miner.id(), Clock);
-    ASSERT_TRUE(B.hasValue()) << B.error().message();
-    ASSERT_TRUE(Fork.submitBlock(*B).hasValue());
-  }
-  auto CoinbaseHash = Chain.blockByHash(*Chain.blockHashAt(1))->Txs[0].txid();
-  const std::string CoinbaseOutpoint = CoinbaseHash.toHex() + ":0";
-
-  // Branch A (initially best): block 3 spends the coinbase.
-  Transaction Spend;
-  Spend.Inputs.push_back(TxIn{OutPoint{CoinbaseHash, 0}, {}});
-  Spend.Outputs.push_back(
-      TxOut{Chain.params().Subsidy - 10000, makeP2PKH(Alice.id())});
-  auto Sig = signInput(Spend, 0, makeP2PKH(Miner.id()), {Miner});
-  ASSERT_TRUE(Sig.hasValue()) << Sig.error().message();
-  Spend.Inputs[0].ScriptSig = *Sig;
-  ASSERT_TRUE(Pool.acceptTransaction(Spend, Chain).hasValue());
-  Clock += 600;
-  ASSERT_TRUE(mineAndSubmit(Chain, Pool, Miner.id(), Clock).hasValue());
-  EXPECT_EQ(Chain.confirmations(Spend.txid()), 1);
-
-  {
-    // Before the reorg: the spend is a best-chain consumption.
-    DataflowLedger L = DataflowLedger::fromChain(Chain);
-    EXPECT_EQ(L.SpentOnChain.count(CoinbaseOutpoint), 1u);
-    EXPECT_TRUE(L.SpentOnStaleBranches.empty());
-    EXPECT_TRUE(analyzeLedger(L).empty());
-  }
-
-  // Branch B: two empty blocks from the shared prefix outweigh branch A.
-  uint32_t ForkClock = 9000;
-  for (int I = 0; I < 2; ++I) {
-    ForkClock += 600;
-    auto B = mineAndSubmit(Fork, ForkPool, keyFromSeed(9).id(), ForkClock);
-    ASSERT_TRUE(B.hasValue()) << B.error().message();
-    ASSERT_TRUE(Chain.submitBlock(*B).hasValue());
-  }
-  EXPECT_EQ(Chain.height(), 4);
-  EXPECT_EQ(Chain.confirmations(Spend.txid()), 0); // Reorged away.
-
-  DataflowLedger L = DataflowLedger::fromChain(Chain);
-  // The coinbase output is back in the unspent set, but forEachBlock
-  // saw its abandoned consumer on the stale branch.
-  EXPECT_EQ(L.Unspent.count(CoinbaseOutpoint), 1u);
-  EXPECT_EQ(L.SpentOnChain.count(CoinbaseOutpoint), 0u);
-  ASSERT_EQ(L.SpentOnStaleBranches.count(CoinbaseOutpoint), 1u);
-  EXPECT_EQ(L.SpentOnStaleBranches[CoinbaseOutpoint],
-            std::vector<std::string>{Spend.txid().toHex()});
-
-  // The snapshot self-check flags the resurrection hazard, and so does
-  // a pending transaction re-consuming the resource.
-  EXPECT_TRUE(analyzeLedger(L).has("dataflow-resurrect-reorg"));
-  DataflowTx Retry;
-  Retry.Txid = "(pending)";
-  Retry.Consumes = {CoinbaseOutpoint};
-  Retry.NumOutputs = 1;
-  LintReport R = analyzeAffineDataflow({Retry}, L);
-  EXPECT_TRUE(R.has("dataflow-resurrect-reorg"));
-  EXPECT_FALSE(R.hasErrors());
 }
 
 TEST(Dataflow, FromBitcoinTxSkipsCoinbaseInput) {
@@ -201,7 +69,7 @@ TEST(Dataflow, FromBitcoinTxSkipsCoinbaseInput) {
   Cb.Outputs.push_back(TxOut{50, makeP2PKH(keyFromSeed(3).id())});
   DataflowTx T = DataflowTx::fromBitcoinTx(Cb);
   EXPECT_TRUE(T.Consumes.empty());
-  EXPECT_EQ(T.NumOutputs, 1u);
+  EXPECT_EQ(T.Txid, Cb.txid().toHex());
 }
 
 } // namespace

@@ -374,4 +374,16 @@ TEST(Diagnostics, RenderingAndMerge) {
   EXPECT_TRUE(B.toStatus().hasValue()); // Warnings alone succeed.
 }
 
+TEST(Diagnostics, FindingsJsonSchema) {
+  LintReport R;
+  R.note("a-note", "n");
+  R.warn("a-warn", "w", "output[0]");
+  R.error("an-error", "e");
+  std::string Doc = findingsJson(R).dump();
+  EXPECT_NE(Doc.find("\"typecoin-findings/1\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"a-warn\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"output[0]\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"error\": 1"), std::string::npos) << Doc;
+}
+
 } // namespace

@@ -16,6 +16,7 @@
 
 #include "bitcoin/standard.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "support/rng.h"
 #include "typecoin/embed.h"
 
@@ -32,10 +33,16 @@ crypto::PrivateKey keyFromSeed(uint64_t Seed) {
   return crypto::PrivateKey::generate(Rand);
 }
 
+uint64_t counterNow(const std::string &Name) {
+  return obs::counter(Name).value();
+}
+
 // --- Golden verdicts for the standard templates ---------------------------
 
 TEST(TcSym, P2PKHIsSpendableWithSigSlackOnly) {
+  uint64_t Spendable = counterNow("sym.verdict.spendable");
   ScriptVerdict V = analyzeScript(bitcoin::makeP2PKH(keyFromSeed(1).id()));
+  EXPECT_EQ(counterNow("sym.verdict.spendable"), Spendable + 1);
   EXPECT_TRUE(V.WellFormed);
   EXPECT_TRUE(V.StackSafe);
   EXPECT_EQ(V.Spend, Spendability::Spendable);
@@ -78,6 +85,17 @@ TEST(TcSym, MultiSig2of2HasNoSigSubstitution) {
   // dummy element slack and DER slack remain.
   EXPECT_EQ(V.Malleability,
             unsigned(MalleableDER | MalleableExtraStack));
+}
+
+TEST(TcSym, VerdictJsonNamesMalleabilityClasses) {
+  std::vector<Bytes> Keys = {keyFromSeed(2).publicKey().serialize(),
+                             keyFromSeed(3).publicKey().serialize()};
+  ScriptVerdict V = analyzeScript(bitcoin::makeMultiSig(1, Keys));
+  std::string Doc = verdictJson(V).dump();
+  EXPECT_NE(Doc.find("\"spendable\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"der\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"extra-stack\""), std::string::npos);
+  EXPECT_NE(Doc.find("\"sig-subst\""), std::string::npos);
 }
 
 TEST(TcSym, NullDataIsProvablyUnspendable) {
@@ -145,7 +163,9 @@ TEST(TcSym, BogusOutputCarrierPassesAsSpendableShape) {
 TEST(TcSym, ContradictionIsUnspendable) {
   Script S;
   S.pushInt(1).pushInt(2).op(bitcoin::OP_EQUALVERIFY).pushInt(1);
+  uint64_t Unspendable = counterNow("sym.verdict.unspendable");
   ScriptVerdict V = analyzeScript(S);
+  EXPECT_EQ(counterNow("sym.verdict.unspendable"), Unspendable + 1);
   EXPECT_EQ(V.Spend, Spendability::Unspendable);
   EXPECT_TRUE(V.StackSafe);
   EXPECT_TRUE(V.Report.has("sym-unspendable"));

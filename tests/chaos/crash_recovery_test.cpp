@@ -9,8 +9,8 @@
 
 #include "chaosutil.h"
 
-#include "analysis/audit.h"
 #include "store/vfs.h"
+#include "typecoin/audit.h"
 
 using namespace typecoin;
 using namespace typecoin::chaosutil;
@@ -111,8 +111,8 @@ TEST(ChaosCrashRecovery, RecoveredNodeMatchesHealthyPeerEntryForEntry) {
   EXPECT_EQ(A->state().fingerprint(), B.state().fingerprint());
   EXPECT_EQ(A->pendingCount(), 0u);
 
-  EXPECT_TRUE(analysis::auditChain(A->chain()).hasValue());
-  EXPECT_TRUE(analysis::auditState(A->state()).hasValue());
+  EXPECT_TRUE(tc::auditChain(A->chain()).hasValue());
+  EXPECT_TRUE(tc::auditState(A->state()).hasValue());
 }
 
 TEST(ChaosCrashRecovery, RecoverMatchesFromGenesisReplay) {

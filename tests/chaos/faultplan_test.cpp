@@ -13,9 +13,9 @@
 
 #include "../net/chaosnet.h"
 
-#include "analysis/audit.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
+#include "typecoin/audit.h"
 
 #include <gtest/gtest.h>
 
@@ -125,7 +125,7 @@ TEST(ChaosFaults, LossyLinksConvergeAfterHeal) {
   C.settle();
   EXPECT_TRUE(C.converged());
   for (size_t I = 0; I < C.size(); ++I)
-    EXPECT_TRUE(analysis::auditChain(C.chain(I)).hasValue()) << "node " << I;
+    EXPECT_TRUE(tc::auditChain(C.chain(I)).hasValue()) << "node " << I;
   auto Snap1 = obs::Registry::instance().snapshot();
   EXPECT_GT(delta(Snap0, Snap1, "net.fault.dropped"), 0u);
   expectFullBlocksOnly(Snap0, Snap1);
@@ -319,7 +319,7 @@ TEST(ChaosFaults, CrashLosesMempoolRestartRecoversChain) {
   EXPECT_EQ(C.mempool(1).size(), 0u);
   EXPECT_TRUE(C.converged());
   EXPECT_EQ(C.chain(1).height(), 4);
-  EXPECT_TRUE(analysis::auditChain(C.chain(1)).hasValue());
+  EXPECT_TRUE(tc::auditChain(C.chain(1)).hasValue());
   expectFullBlocksOnly(Snap0, obs::Registry::instance().snapshot());
 
   // Entry-for-entry agreement with a never-crashed peer.

@@ -12,8 +12,8 @@
 
 #include "chaosutil.h"
 
-#include "analysis/audit.h"
 #include "net/fault.h"
+#include "typecoin/audit.h"
 
 using namespace typecoin;
 using namespace typecoin::chaosutil;
@@ -131,7 +131,7 @@ TEST_F(ChaosReorg, DeepReorgUnwindsRebuildsAndReregistersOnce) {
       tc::replayChain(Node.chain(), Node.journal(), Node.registrationDepth());
   ASSERT_TRUE(Replayed2.hasValue());
   EXPECT_EQ(Node.state().fingerprint(), Replayed2->TcState.fingerprint());
-  EXPECT_TRUE(analysis::auditState(Node.state()).hasValue());
+  EXPECT_TRUE(tc::auditState(Node.state()).hasValue());
 }
 
 TEST_F(ChaosReorg, PartitionHealCrossingDepthConvergesExactlyOnce) {
@@ -251,7 +251,7 @@ TEST_F(ChaosReorg, MalleatedCarrierRegistersUnderConfirmedTxid) {
   EXPECT_EQ(Node.state().find(OriginalTxid), nullptr);
   // The original (now conflicting) carrier was evicted from the pool.
   EXPECT_FALSE(Node.mempool().contains(P->Btc.txid()));
-  EXPECT_TRUE(analysis::auditState(Node.state()).hasValue());
+  EXPECT_TRUE(tc::auditState(Node.state()).hasValue());
 }
 
 TEST_F(ChaosReorg, ConfirmedCarrierKeepsItsRetryBudgetThroughAShallowReorg) {

@@ -138,24 +138,6 @@ TEST(EcmultSweep, EndomorphismConstants) {
   }
 }
 
-TEST(EcmultSweep, WindowConfigsAgree) {
-  // Sweep the TYPECOIN_ECMULT_WINDOW space via private instances:
-  // comb disabled (pure wNAF fallback) through the largest window.
-  const Secp256k1 &Ref = Secp256k1::instance();
-  const int Windows[] = {0, 1, 2, 3, 5, 8};
-  Rng R(0x3b3b);
-  for (int W : Windows) {
-    Secp256k1 C(W);
-    EXPECT_EQ(C.combWindow(), static_cast<unsigned>(W));
-    for (size_t I = 0; I < 16; ++I) {
-      U256 K = Ref.scalar().reduce(randomU256(R));
-      EXPECT_EQ(C.multiplyBase(K), Ref.multiplyNaive(K, Ref.generator()))
-          << "window " << W;
-    }
-    EXPECT_TRUE(C.multiplyBase(U256::zero()).Infinity);
-  }
-}
-
 } // namespace
 } // namespace crypto
 } // namespace typecoin

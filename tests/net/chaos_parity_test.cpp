@@ -13,10 +13,10 @@
 
 #include "chaosnet.h"
 
-#include "analysis/audit.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
 #include "store/chainstore.h"
+#include "typecoin/audit.h"
 
 #include <gtest/gtest.h>
 
@@ -96,7 +96,7 @@ TEST(NetChaosParity, LossyLinksConvergeAfterHeal) {
   C.settle();
   EXPECT_TRUE(C.converged());
   for (size_t I = 0; I < C.size(); ++I)
-    EXPECT_TRUE(analysis::auditChain(C.chain(I)).hasValue()) << "node " << I;
+    EXPECT_TRUE(tc::auditChain(C.chain(I)).hasValue()) << "node " << I;
 }
 
 TEST(NetChaosParity, DuplicatedDeliveryIsIdempotent) {
@@ -371,7 +371,7 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
   EXPECT_EQ(C.mempool(1).size(), 0u);
   EXPECT_TRUE(C.converged());
   EXPECT_EQ(C.chain(1).height(), 4);
-  EXPECT_TRUE(analysis::auditChain(C.chain(1)).hasValue());
+  EXPECT_TRUE(tc::auditChain(C.chain(1)).hasValue());
 
   // Entry-for-entry agreement with a never-crashed peer.
   const auto &Healthy = C.chain(0).utxo().entries();

@@ -14,8 +14,8 @@
 
 #include "chaosnet.h"
 
-#include "analysis/audit.h"
 #include "obs/metrics.h"
+#include "typecoin/audit.h"
 
 using namespace typecoin;
 using namespace typecoin::net;
@@ -126,7 +126,7 @@ void runSoak(uint64_t Seed) {
   // 2. Every honest chain passes the full ledger audit, and the UTXO
   //    sets agree entry-for-entry.
   for (size_t N : Honest) {
-    auto A = analysis::auditChain(Net.chain(N));
+    auto A = tc::auditChain(Net.chain(N));
     EXPECT_TRUE(A.hasValue())
         << "seed " << Seed << " node " << N << ": " << A.error().message();
   }
@@ -152,7 +152,7 @@ void runSoak(uint64_t Seed) {
     EXPECT_EQ(Replayed->Registered.size(), Journal.size())
         << "seed " << Seed << " node " << N;
     EXPECT_TRUE(Replayed->SpoiledTxids.empty()) << "seed " << Seed;
-    auto S = analysis::auditState(Replayed->TcState);
+    auto S = tc::auditState(Replayed->TcState);
     EXPECT_TRUE(S.hasValue()) << "seed " << Seed << ": "
                               << S.error().message();
     std::string Fp = Replayed->TcState.fingerprint();

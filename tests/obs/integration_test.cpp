@@ -82,8 +82,8 @@ TEST(ObsIntegration, MineSubmitReorgRecoverExportsPlausibleMetrics) {
   tc::Node Restarted;
   auto Opened = Restarted.openStore(Disk, "store");
   ASSERT_TRUE(Opened.hasValue()) << Opened.error().message();
+  EXPECT_EQ(Opened->JournalRestored, 2u);
   const tc::Node::RecoverStats &Stats = Opened->Rebuild;
-  EXPECT_EQ(Stats.JournalSize, 2u);
   EXPECT_EQ(Stats.Registered, 1u);         // P survived the reorg.
   EXPECT_EQ(Stats.Requeued, 1u);           // P2 back in the retry queue.
   EXPECT_EQ(Stats.MempoolReadmitted, 1u);  // P2's carrier re-admitted.

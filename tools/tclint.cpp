@@ -26,8 +26,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/dataflow.h"
 #include "analysis/lint.h"
-#include "analysis/symcheck.h"
+#include "analysis/tcsym.h"
 
 #include "bitcoin/standard.h"
 #include "store/chainstore.h"
@@ -330,8 +331,7 @@ int selftest() {
 
   // Dataflow: a self-double-consume is an error.
   analysis::LintReport Flow = analysis::analyzeAffineDataflow(
-      {analysis::DataflowTx::fromBitcoinTx(demoDoubleConsume())},
-      analysis::DataflowLedger{});
+      {analysis::DataflowTx::fromBitcoinTx(demoDoubleConsume())});
   Expect(Flow.has("dataflow-double-consume"),
          "double consumption is flagged by the dataflow pass");
 
@@ -425,7 +425,6 @@ void lintFile(const std::string &Path, Session &S) {
     for (const tc::Input &In : T->Inputs)
       Tx.Consumes.push_back(In.SourceTxid + ":" +
                             std::to_string(In.SourceIndex));
-    Tx.NumOutputs = T->Outputs.size();
     S.Pending.push_back(std::move(Tx));
   }
   S.addReport(Path, analysis::lint(*T, S.Cli.Lint));
@@ -607,18 +606,8 @@ int main(int argc, char **argv) {
   for (const std::string &F : Files)
     lintFile(F, S);
 
-  if (Cli.Dataflow) {
-    // The CLI has no chain snapshot, so provenance cannot be decided:
-    // keep intra-set findings (double-consume, cycles) and drop the
-    // orphan warnings an empty ledger would produce for every input.
-    analysis::LintReport Flow = analysis::analyzeAffineDataflow(
-        S.Pending, analysis::DataflowLedger{});
-    analysis::LintReport Kept;
-    for (const analysis::Diagnostic &D : Flow.diagnostics())
-      if (D.Code != "dataflow-orphan")
-        Kept.add(D.Sev, D.Code, D.Message, D.Span);
-    S.addReport("dataflow", Kept);
-  }
+  if (Cli.Dataflow)
+    S.addReport("dataflow", analysis::analyzeAffineDataflow(S.Pending));
 
   if (Cli.Json) {
     obs::Json Doc = analysis::findingsJson(S.All);
